@@ -310,15 +310,8 @@ let run_spooler ~config ~clients ~jobs =
   let report = System.run sys in
   (m, report, !printed, !sum)
 
-let scenario_trace config snapshot clients jobs chrome_out dump legacy =
-  let config =
-    {
-      config with
-      System.trace_level =
-        (if legacy then Obs.Tracer.Events_and_legacy_lines
-         else Obs.Tracer.Events);
-    }
-  in
+let scenario_trace config snapshot clients jobs chrome_out dump =
+  let config = { config with System.trace_level = Obs.Tracer.Events } in
   let m, report, printed, _sum = run_spooler ~config ~clients ~jobs in
   let tracer = K.Machine.tracer m in
   Printf.printf "spooler: %d clients x %d jobs, %d printed\n" clients jobs
@@ -332,7 +325,6 @@ let scenario_trace config snapshot clients jobs chrome_out dump legacy =
     List.iter
       (fun e -> print_endline (Obs.Event.to_string e))
       (K.Machine.events m);
-  if legacy then List.iter print_endline (K.Machine.trace_lines m);
   (match chrome_out with
   | Some path ->
     let json =
@@ -1084,18 +1076,12 @@ let trace_cmd =
   let dump =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print every retained event.")
   in
-  let legacy =
-    Arg.(
-      value & flag
-      & info [ "legacy" ]
-          ~doc:"Also render and print the legacy-format trace lines.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run the spooler workload with event tracing enabled.")
     Term.(
       const scenario_trace $ config_term $ snapshot $ clients_arg $ jobs_arg
-      $ chrome $ dump $ legacy)
+      $ chrome $ dump)
 
 let metrics_cmd =
   let json =

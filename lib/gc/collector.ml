@@ -100,13 +100,12 @@ let scan_roots t =
         (* A message delivered but not yet consumed by the resuming process
            is reachable from its (virtual) context. *)
         (match proc.I432_kernel.Process.pending with
-        | I432_kernel.Syscall.R_msg a
-        | I432_kernel.Syscall.R_msg_option (Some a) -> shade t (Access.index a)
+        | I432_kernel.Syscall.R_msg (Some a) -> shade t (Access.index a)
         | I432_kernel.Syscall.R_txn
             (I432_kernel.Syscall.Txn_committed { received; _ }) ->
           List.iter (fun a -> shade t (Access.index a)) received
         | I432_kernel.Syscall.R_unit | I432_kernel.Syscall.R_accepted _
-        | I432_kernel.Syscall.R_msg_option None
+        | I432_kernel.Syscall.R_msg None
         | I432_kernel.Syscall.R_txn (I432_kernel.Syscall.Txn_conflict _) -> ());
         (* Activation records currently on the process's context stack. *)
         List.iter

@@ -239,10 +239,6 @@ let tracer t = t.obs
 let metrics t = t.metrics
 let events t = Obs.Tracer.events t.obs
 
-(* Compat shim: the seed's unstructured trace lines, rendered by the tracer
-   at emit time (byte-identical formats, unbounded). *)
-let trace_lines t = Obs.Tracer.legacy_lines t.obs
-
 (* Faults in emission order: the list is accumulated newest-first (O(1)
    prepend on the fault path) and reversed here, so the first fault the
    machine recorded is the first element.  This ordering is part of the
@@ -610,6 +606,146 @@ let make_ready t (proc : Process.t) =
   emit_fast t ~name_id:proc.Process.trace_name_id ~a:proc.Process.index ~b:0
     k_ready
 
+(* A process that can run again re-enters the dispatching mix, unless it is
+   stopped: then it only becomes ready, and start puts it in the mix. *)
+let requeue t (proc : Process.t) =
+  if proc.Process.stopped then proc.Process.status <- Process.Ready
+  else make_ready t proc
+
+let proc_of t index = Process.state_of_index t.table index
+
+(* ------------------------------------------------------------------ *)
+(* Port transfer                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every message that crosses a port goes through the helpers below: a
+   process's Send and Receive, a transaction's staged sends and receives,
+   the NIC delivering into or draining a port, and the kernel's own
+   notifications.  So the accounting is the same on every path:
+
+   - a send is counted (port and machine [sends], the sender's
+     [messages_sent], a Send event) when the port accepts the message — a
+     handoff to a parked receiver, an enqueue, or the admission of a
+     parked sender.  A send that is refused or withdrawn is never counted;
+   - a receive is counted (port and machine [receives], the taker's
+     [messages_received], a Receive event) when the message is taken.
+
+   [sender]/[taker] is [None] when the kernel itself is the endpoint. *)
+
+(* Resume a parked process with [result], disarming its deadline. *)
+let resume t (proc : Process.t) result =
+  (match proc.Process.timeout_at with
+  | Some _ ->
+    proc.Process.timeout_at <- None;
+    t.timed_waiters <- t.timed_waiters - 1
+  | None -> ());
+  proc.Process.pending <- result;
+  requeue t proc
+
+let count_send t (p : Port.t) (sender : Process.t option) msg =
+  p.Port.sends <- p.Port.sends + 1;
+  Obs.Metrics.incr t.mon.mon_sends;
+  match sender with
+  | Some s ->
+    s.Process.messages_sent <- s.Process.messages_sent + 1;
+    emit_fast t ~name_id:s.Process.trace_name_id ~a:p.Port.self
+      ~b:(Access.index msg) k_send
+  | None -> ()
+
+let count_receive t (p : Port.t) (taker : Process.t option) msg =
+  p.Port.receives <- p.Port.receives + 1;
+  Obs.Metrics.incr t.mon.mon_receives;
+  match taker with
+  | Some r ->
+    r.Process.messages_received <- r.Process.messages_received + 1;
+    emit_fast t ~name_id:r.Process.trace_name_id ~a:p.Port.self
+      ~b:(Access.index msg) k_receive
+  | None -> ()
+
+(* Accept [msg] into [p], which must not be full: hand it to the first
+   parked receiver, else queue it.  Either way the message is now
+   reachable from the port or the receiver, so it is shaded (§8.1). *)
+let accept t (p : Port.t) ~sender ?(txn = 0) ~priority msg =
+  count_send t p sender msg;
+  Object_table.shade t.table (Access.index msg);
+  match Port.pop_receiver p with
+  | Some r ->
+    let rproc = proc_of t r in
+    count_receive t p (Some rproc) msg;
+    resume t rproc (Syscall.R_msg (Some msg))
+  | None -> Port.enqueue p ~txn ~msg ~priority ~now:(now t)
+
+(* Admit a parked sender's message into space a receive freed. *)
+let admit t (p : Port.t) (ws : Port.waiting_sender) =
+  let sproc = proc_of t ws.Port.sender in
+  count_send t p (Some sproc) ws.Port.sender_msg;
+  Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
+    ~now:(now t);
+  resume t sproc (Syscall.R_accepted true)
+
+(* Dequeue the message at the head of [p] for [taker], admitting nobody. *)
+let dequeue t (p : Port.t) ~taker =
+  match Port.dequeue_entry p ~now:(now t) with
+  | Some qm as got ->
+    count_receive t p taker qm.Port.msg;
+    Obs.Metrics.observe t.mon.mon_port_wait (float_of_int p.Port.last_wait_ns);
+    got
+  | None -> None
+
+(* Take a message from [p]: dequeue it and admit one parked sender into the
+   freed slot, else meet a parked sender directly (its message passes
+   through the queue at this instant). *)
+let rec take t (p : Port.t) ~taker =
+  match dequeue t p ~taker with
+  | Some _ as got ->
+    (match Port.pop_sender p with Some ws -> admit t p ws | None -> ());
+    got
+  | None -> (
+    match Port.pop_sender p with
+    | Some ws ->
+      admit t p ws;
+      take t p ~taker
+    | None -> None)
+
+(* Park [proc] at [p] until a transfer happens or, for [Within], until its
+   deadline (enforced by [fire_timeouts]).  A sender parks with its
+   message, a receiver without. *)
+let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ?msg wait =
+  charge t t.timings.Timings.block_ns;
+  proc.Process.blocks <- proc.Process.blocks + 1;
+  (match msg with
+  | Some msg ->
+    p.Port.send_blocks <- p.Port.send_blocks + 1;
+    Obs.Metrics.incr t.mon.mon_send_blocks;
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
+      k_block_send;
+    Object_table.shade t.table (Access.index msg);
+    Port.push_sender p ~sender:proc.Process.index ~msg
+      ~priority:proc.Process.priority;
+    proc.Process.status <- Process.Blocked_send p.Port.self
+  | None ->
+    p.Port.receive_blocks <- p.Port.receive_blocks + 1;
+    Obs.Metrics.incr t.mon.mon_receive_blocks;
+    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
+      k_block_receive;
+    Port.push_receiver p proc.Process.index;
+    proc.Process.status <- Process.Blocked_receive p.Port.self);
+  (match wait with
+  | Syscall.Within ns ->
+    proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + ns);
+    t.timed_waiters <- t.timed_waiters + 1
+  | Syscall.Block | Syscall.Poll -> ());
+  cpu.Processor.current <- None
+
+(* Injected port-delivery delay: charged once, at the next port syscall.
+   One int compare when no injection is armed. *)
+let consume_port_delay t =
+  if t.pending_port_delay_ns > 0 then begin
+    let d = t.pending_port_delay_ns in
+    t.pending_port_delay_ns <- 0;
+    charge t d
+  end
+
 (* Notify the scheduler port that [proc] entered or left the dispatching mix
    (§6.1).  Non-blocking: notifications overflowing the port are dropped. *)
 let notify_scheduler t (proc : Process.t) =
@@ -617,11 +753,9 @@ let notify_scheduler t (proc : Process.t) =
   | None -> ()
   | Some port_index ->
     let p = Port.state_of_index t.table port_index in
-    if not (Port.is_full p) then begin
-      let msg = Access.make ~index:proc.Process.index ~rights:Rights.read_only in
-      Port.enqueue p ~msg ~priority:proc.Process.priority ~now:(now t);
-      p.Port.sends <- p.Port.sends + 1
-    end
+    if not (Port.is_full p) then
+      accept t p ~sender:None ~priority:proc.Process.priority
+        (Access.make ~index:proc.Process.index ~rights:Rights.read_only)
 
 let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
     ?(name = "process") ?sro ?start_after body =
@@ -744,61 +878,19 @@ let all_processes t = t.processes
 (* Syscalls performed by process bodies                                *)
 (* ------------------------------------------------------------------ *)
 
-let send (_ : t) ~port ~msg =
-  match Syscall.perform (Syscall.Send { port; msg }) with
-  | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
-
-let receive (_ : t) ~port =
-  match Syscall.perform (Syscall.Receive { port }) with
-  | Syscall.R_msg m -> m
-  | Syscall.R_unit | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
-
-let cond_send (_ : t) ~port ~msg =
-  match Syscall.perform (Syscall.Cond_send { port; msg }) with
-  | Syscall.R_accepted b -> b
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
-
-let cond_receive (_ : t) ~port =
-  match Syscall.perform (Syscall.Cond_receive { port }) with
-  | Syscall.R_msg_option m -> m
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_txn _ ->
-    assert false
+let send (_ : t) ~port ~msg = ignore (Syscall.send ~port ~msg Syscall.Block)
+let receive (_ : t) ~port = Option.get (Syscall.receive ~port Syscall.Block)
+let cond_send (_ : t) ~port ~msg = Syscall.send ~port ~msg Syscall.Poll
+let cond_receive (_ : t) ~port = Syscall.receive ~port Syscall.Poll
 
 let send_timeout (_ : t) ~port ~msg ~timeout_ns =
-  match Syscall.perform (Syscall.Timed_send { port; msg; timeout_ns }) with
-  | Syscall.R_accepted b -> b
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
+  Syscall.send ~port ~msg (Syscall.Within timeout_ns)
 
 let receive_timeout (_ : t) ~port ~timeout_ns =
-  match Syscall.perform (Syscall.Timed_receive { port; timeout_ns }) with
-  | Syscall.R_msg_option m -> m
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_txn _ ->
-    assert false
+  Syscall.receive ~port (Syscall.Within timeout_ns)
 
-let delay (_ : t) ~ns =
-  match Syscall.perform (Syscall.Delay ns) with
-  | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
-
-let yield (_ : t) =
-  match Syscall.perform Syscall.Yield with
-  | Syscall.R_unit -> ()
-  | Syscall.R_msg _ | Syscall.R_accepted _ | Syscall.R_msg_option _
-  | Syscall.R_txn _ ->
-    assert false
+let delay (_ : t) ~ns = ignore (Syscall.perform (Syscall.Delay ns))
+let yield (_ : t) = ignore (Syscall.perform Syscall.Yield)
 
 let exit_process (_ : t) =
   ignore (Syscall.perform Syscall.Exit);
@@ -813,15 +905,11 @@ let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
          { t_key = key; t_receives = receives; t_sends = sends; t_writes = writes })
   with
   | Syscall.R_txn r -> r
-  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _
-  | Syscall.R_msg_option _ ->
-    assert false
+  | Syscall.R_unit | Syscall.R_msg _ | Syscall.R_accepted _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let proc_of t index = Process.state_of_index t.table index
 
 (* Eligibility for dispatch onto [cpu]: in the mix, ready, and (when the
    process carries a processor affinity) bound to this processor.  The 432
@@ -836,41 +924,6 @@ let eligible_for_dispatch t ~cpu index =
   | None -> true
   | Some id -> id = cpu.Processor.id
 
-(* Deliver a message to a process blocked on receive, making it ready.
-   A receiver parked by a timed receive gets the option-shaped result its
-   wrapper expects; its deadline is disarmed. *)
-let unblock_receiver t (proc : Process.t) msg =
-  (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1;
-    proc.Process.pending <- Syscall.R_msg_option (Some msg)
-  | None -> proc.Process.pending <- Syscall.R_msg msg);
-  proc.Process.messages_received <- proc.Process.messages_received + 1;
-  Object_table.shade t.table (Access.index msg);
-  if proc.Process.stopped then proc.Process.status <- Process.Ready
-  else make_ready t proc
-
-(* A blocked sender's message has been accepted; make the sender ready. *)
-let unblock_sender t (proc : Process.t) =
-  (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1;
-    proc.Process.pending <- Syscall.R_accepted true
-  | None -> proc.Process.pending <- Syscall.R_unit);
-  if proc.Process.stopped then proc.Process.status <- Process.Ready
-  else make_ready t proc
-
-(* Injected port-delivery delay: charged once, at the next port syscall.
-   One int compare when no injection is armed. *)
-let consume_port_delay t =
-  if t.pending_port_delay_ns > 0 then begin
-    let d = t.pending_port_delay_ns in
-    t.pending_port_delay_ns <- 0;
-    charge t d
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Interconnect hooks (lib/net)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -884,64 +937,33 @@ let consume_port_delay t =
 (* Deliver [msg] into [port] from outside the run loop, waking a blocked
    receiver exactly as a local send would.  [false] when the queue is full
    (the NIC keeps the frame in its backlog and retries at the next pump). *)
-let deliver_external t ?(txn = 0) ~port ~msg ~priority () =
+let deliver_external t ?txn ~port ~msg ~priority () =
   let p = Port.state_of t.table port in
   if Port.is_full p then false
   else begin
-    Object_table.shade t.table (Access.index msg);
-    Port.enqueue p ~txn ~msg ~priority ~now:(now t);
-    p.Port.sends <- p.Port.sends + 1;
-    Obs.Metrics.incr t.mon.mon_sends;
-    (match Port.pop_receiver p with
-    | Some r -> (
-      match Port.dequeue p ~now:(now t) with
-      | Some m ->
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        unblock_receiver t (proc_of t r) m
-      | None -> ())
-    | None -> ());
+    accept t p ~sender:None ?txn ~priority msg;
     true
   end
 
 (* Withdraw up to [max] queued messages from [port] in service order — the
-   NIC acting as the port's receiver.  Blocked senders are admitted (and
-   readied) as space opens, exactly as a local receive would admit them.
-   Returns [(msg, priority, enqueued_at, txn)] per message; [txn] is the
-   committing transaction's idempotency key (0 = not transactional), which
-   the interconnect carries across the wire for cluster-level dedup. *)
+   NIC acting as the port's receiver, admitting parked senders exactly as
+   a local receive would.  Returns [(msg, priority, enqueued_at, txn)] per
+   message; [txn] is the committing transaction's idempotency key (0 = not
+   transactional), which the interconnect carries across the wire for
+   cluster-level dedup. *)
 let drain_port t ?(max = max_int) ~port () =
   let p = Port.state_of t.table port in
-  let acc = ref [] in
-  let count = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !count < max do
-    match Port.dequeue_entry p ~now:(now t) with
-    | Some qm ->
-      incr count;
-      p.Port.receives <- p.Port.receives + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:(now t);
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      acc :=
-        (qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
-        :: !acc
-    | None -> (
-      (* Rendezvous with a sender parked at a full (or zero-space) queue. *)
-      match Port.pop_sender p with
-      | Some ws ->
-        incr count;
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        unblock_sender t (proc_of t ws.Port.sender);
-        acc := (ws.Port.sender_msg, ws.Port.sender_priority, now t, 0) :: !acc
-      | None -> continue_ := false)
-  done;
-  List.rev !acc
+  let rec go n acc =
+    if n >= max then List.rev acc
+    else
+      match take t p ~taker:None with
+      | Some qm ->
+        go (n + 1)
+          ((qm.Port.msg, qm.Port.msg_priority, qm.Port.enqueued_at, qm.Port.txn)
+          :: acc)
+      | None -> List.rev acc
+  in
+  go 0 []
 
 (* Advance every *idle* processor's clock to [to_ns] (as idle time), so a
    message delivered with a frame-arrival stamp cannot be consumed in its
@@ -970,8 +992,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_yield;
     proc.Process.pending <- Syscall.R_unit;
     cpu.Processor.current <- None;
-    if proc.Process.stopped then proc.Process.status <- Process.Ready
-    else make_ready t proc;
+    requeue t proc;
     false
   | Syscall.Preempt ->
     charge t tm.Timings.dispatch_ns;
@@ -982,8 +1003,7 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     Obs.Metrics.incr t.mon.mon_preemptions;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_preempt;
     cpu.Processor.current <- None;
-    if proc.Process.stopped then proc.Process.status <- Process.Ready
-    else make_ready t proc;
+    requeue t proc;
     false
   | Syscall.Exit ->
     proc.Process.status <- Process.Finished;
@@ -1001,274 +1021,40 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
     cpu.Processor.current <- None;
     false
-  | Syscall.Send { port; msg } ->
+  | Syscall.Send { port; msg; wait } ->
     Port.check_send_right port;
     let p = Port.state_of t.table port in
     charge t tm.Timings.send_ns;
     consume_port_delay t;
-    p.Port.sends <- p.Port.sends + 1;
-    proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-    Obs.Metrics.incr t.mon.mon_sends;
-    emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-      ~b:(Access.index msg) k_send;
-    (match Port.pop_receiver p with
-    | Some r ->
-      (* Hand the message straight to the waiting receiver. *)
-      p.Port.receives <- p.Port.receives + 1;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
-      proc.Process.pending <- Syscall.R_unit;
-      true
-    | None ->
-      if not (Port.is_full p) then begin
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_unit;
-        true
-      end
-      else begin
-        (* Queue full: block the sender at the port (§4). *)
-        charge t tm.Timings.block_ns;
-        p.Port.send_blocks <- p.Port.send_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_send_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.push_sender p ~sender:proc.Process.index ~msg
-          ~priority:proc.Process.priority;
-        proc.Process.status <- Process.Blocked_send p.Port.self;
-        cpu.Processor.current <- None;
-        false
-      end)
-  | Syscall.Receive { port } ->
-    Port.check_receive_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.receive_ns;
-    consume_port_delay t;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (* Space opened: admit one blocked sender's message. *)
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg msg;
-      true
-    | None ->
-      (match Port.pop_sender p with
-      | Some ws ->
-        (* Rendezvous with a sender blocked on a zero-space queue. *)
-        p.Port.receives <- p.Port.receives + 1;
-        proc.Process.messages_received <- proc.Process.messages_received + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg ws.Port.sender_msg;
-        true
-      | None ->
-        charge t tm.Timings.block_ns;
-        p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_receive_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_receive;
-        Port.push_receiver p proc.Process.index;
-        proc.Process.status <- Process.Blocked_receive p.Port.self;
-        cpu.Processor.current <- None;
-        false))
-  | Syscall.Cond_send { port; msg } ->
-    Port.check_send_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.send_ns;
-    (match Port.pop_receiver p with
-    | Some r ->
-      p.Port.sends <- p.Port.sends + 1;
-      proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-      Obs.Metrics.incr t.mon.mon_sends;
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_send;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
+    if not (Port.is_full p) then begin
+      accept t p ~sender:(Some proc) ~priority:proc.Process.priority msg;
       proc.Process.pending <- Syscall.R_accepted true;
       true
-    | None ->
-      if not (Port.is_full p) then begin
-        p.Port.sends <- p.Port.sends + 1;
-        proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-        Obs.Metrics.incr t.mon.mon_sends;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index msg) k_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_accepted true;
-        true
-      end
-      else begin
-        proc.Process.pending <- Syscall.R_accepted false;
-        true
-      end)
-  | Syscall.Cond_receive { port } ->
-    Port.check_receive_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.receive_ns;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg_option (Some msg);
+    end
+    else if Syscall.polls wait then begin
+      proc.Process.pending <- Syscall.R_accepted false;
       true
-    | None ->
-      (match Port.pop_sender p with
-      | Some ws ->
-        p.Port.receives <- p.Port.receives + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg_option (Some ws.Port.sender_msg);
-        true
-      | None ->
-        proc.Process.pending <- Syscall.R_msg_option None;
-        true))
-  | Syscall.Timed_send { port; msg; timeout_ns } ->
-    (* Like [Send], but with an armed deadline when the queue is full; a
-       zero budget degenerates to [Cond_send]'s immediate answer. *)
-    Port.check_send_right port;
-    let p = Port.state_of t.table port in
-    charge t tm.Timings.send_ns;
-    consume_port_delay t;
-    (match Port.pop_receiver p with
-    | Some r ->
-      p.Port.sends <- p.Port.sends + 1;
-      proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-      Obs.Metrics.incr t.mon.mon_sends;
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_send;
-      p.Port.receives <- p.Port.receives + 1;
-      let rproc = proc_of t r in
-      Obs.Metrics.incr t.mon.mon_receives;
-      emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      unblock_receiver t rproc msg;
-      proc.Process.pending <- Syscall.R_accepted true;
-      true
-    | None ->
-      if not (Port.is_full p) then begin
-        p.Port.sends <- p.Port.sends + 1;
-        proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-        Obs.Metrics.incr t.mon.mon_sends;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index msg) k_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.enqueue p ~msg ~priority:proc.Process.priority
-          ~now:cpu.Processor.clock_ns;
-        proc.Process.pending <- Syscall.R_accepted true;
-        true
-      end
-      else if timeout_ns <= 0 then begin
-        proc.Process.pending <- Syscall.R_accepted false;
-        true
-      end
-      else begin
-        charge t tm.Timings.block_ns;
-        p.Port.send_blocks <- p.Port.send_blocks + 1;
-        proc.Process.blocks <- proc.Process.blocks + 1;
-        Obs.Metrics.incr t.mon.mon_send_blocks;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-          k_block_send;
-        Object_table.shade t.table (Access.index msg);
-        Port.push_sender p ~sender:proc.Process.index ~msg
-          ~priority:proc.Process.priority;
-        proc.Process.status <- Process.Blocked_send p.Port.self;
-        proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + timeout_ns);
-        t.timed_waiters <- t.timed_waiters + 1;
-        cpu.Processor.current <- None;
-        false
-      end)
-  | Syscall.Timed_receive { port; timeout_ns } ->
-    (* Like [Receive], but the wait is bounded: at the deadline the process
-       resumes with [None] and the port's receiver queue is repaired. *)
+    end
+    else begin
+      (* Queue full: the sender waits at the port (§4). *)
+      park t cpu proc p ~msg wait;
+      false
+    end
+  | Syscall.Receive { port; wait } -> (
     Port.check_receive_right port;
     let p = Port.state_of t.table port in
     charge t tm.Timings.receive_ns;
     consume_port_delay t;
-    (match Port.dequeue p ~now:cpu.Processor.clock_ns with
-    | Some msg ->
-      p.Port.receives <- p.Port.receives + 1;
-      proc.Process.messages_received <- proc.Process.messages_received + 1;
-      Obs.Metrics.incr t.mon.mon_receives;
-      Obs.Metrics.observe t.mon.mon_port_wait
-        (float_of_int p.Port.last_wait_ns);
-      emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-        ~b:(Access.index msg) k_receive;
-      (match Port.pop_sender p with
-      | Some ws ->
-        Port.enqueue p ~msg:ws.Port.sender_msg ~priority:ws.Port.sender_priority
-          ~now:cpu.Processor.clock_ns;
-        unblock_sender t (proc_of t ws.Port.sender)
-      | None -> ());
-      proc.Process.pending <- Syscall.R_msg_option (Some msg);
+    match take t p ~taker:(Some proc) with
+    | Some qm ->
+      proc.Process.pending <- Syscall.R_msg (Some qm.Port.msg);
       true
-    | None -> (
-      match Port.pop_sender p with
-      | Some ws ->
-        p.Port.receives <- p.Port.receives + 1;
-        proc.Process.messages_received <- proc.Process.messages_received + 1;
-        Obs.Metrics.incr t.mon.mon_receives;
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-          ~b:(Access.index ws.Port.sender_msg) k_receive;
-        unblock_sender t (proc_of t ws.Port.sender);
-        proc.Process.pending <- Syscall.R_msg_option (Some ws.Port.sender_msg);
-        true
-      | None ->
-        if timeout_ns <= 0 then begin
-          proc.Process.pending <- Syscall.R_msg_option None;
-          true
-        end
-        else begin
-          charge t tm.Timings.block_ns;
-          p.Port.receive_blocks <- p.Port.receive_blocks + 1;
-          proc.Process.blocks <- proc.Process.blocks + 1;
-          Obs.Metrics.incr t.mon.mon_receive_blocks;
-          emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self ~b:0
-            k_block_receive;
-          Port.push_receiver p proc.Process.index;
-          proc.Process.status <- Process.Blocked_receive p.Port.self;
-          proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + timeout_ns);
-          t.timed_waiters <- t.timed_waiters + 1;
-          cpu.Processor.current <- None;
-          false
-        end))
+    | None when Syscall.polls wait ->
+      proc.Process.pending <- Syscall.R_msg None;
+      true
+    | None ->
+      park t cpu proc p wait;
+      false)
   | Syscall.Txn_try { t_key; t_receives; t_sends; t_writes } ->
     (* One atomic attempt at a multi-port group.  The whole syscall is
        serviced with [in_body = false], so nothing can preempt between
@@ -1299,30 +1085,9 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
          needs to get its completion (or returned tokens) again. *)
       List.iteri
         (fun i ((p : Port.t), msg) ->
-          match Port.pop_receiver p with
-          | Some r ->
-            p.Port.sends <- p.Port.sends + 1;
-            p.Port.receives <- p.Port.receives + 1;
-            proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-            Obs.Metrics.incr t.mon.mon_sends;
-            Obs.Metrics.incr t.mon.mon_receives;
-            let rproc = proc_of t r in
-            emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_send;
-            emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_receive;
-            unblock_receiver t rproc msg
-          | None ->
-            if not (Port.is_full p) then begin
-              p.Port.sends <- p.Port.sends + 1;
-              proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-              Obs.Metrics.incr t.mon.mon_sends;
-              emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-                ~b:(Access.index msg) k_send;
-              Object_table.shade t.table (Access.index msg);
-              Port.enqueue p ~txn:(t_key + i) ~msg
-                ~priority:proc.Process.priority ~now:cpu.Processor.clock_ns
-            end)
+          if not (Port.is_full p) then
+            accept t p ~sender:(Some proc) ~txn:(t_key + i)
+              ~priority:proc.Process.priority msg)
         send_ports;
       Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.dup_drops");
       emit t ~name:proc.Process.name ~a:t_key ~b:0 Obs.Event.Txn_dup_drop;
@@ -1396,18 +1161,9 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
            have claimed their space. *)
         let received =
           List.map
-            (fun (p : Port.t) ->
-              match Port.dequeue p ~now:cpu.Processor.clock_ns with
-              | Some msg ->
-                p.Port.receives <- p.Port.receives + 1;
-                proc.Process.messages_received <-
-                  proc.Process.messages_received + 1;
-                Obs.Metrics.incr t.mon.mon_receives;
-                Obs.Metrics.observe t.mon.mon_port_wait
-                  (float_of_int p.Port.last_wait_ns);
-                emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-                  ~b:(Access.index msg) k_receive;
-                msg
+            (fun p ->
+              match dequeue t p ~taker:(Some proc) with
+              | Some qm -> qm.Port.msg
               | None -> assert false (* validated: queued >= wants *))
             recv_ports
         in
@@ -1420,39 +1176,24 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
            group bound for one node.  Key allocation (I432_txn.Txn)
            strides keys far enough apart for the offsets. *)
         List.iteri
-          (fun i ((p : Port.t), msg) ->
-            p.Port.sends <- p.Port.sends + 1;
-            proc.Process.messages_sent <- proc.Process.messages_sent + 1;
-            Obs.Metrics.incr t.mon.mon_sends;
-            emit_fast t ~name_id:proc.Process.trace_name_id ~a:p.Port.self
-              ~b:(Access.index msg) k_send;
-            match Port.pop_receiver p with
-            | Some r ->
-              p.Port.receives <- p.Port.receives + 1;
-              let rproc = proc_of t r in
-              Obs.Metrics.incr t.mon.mon_receives;
-              emit_fast t ~name_id:rproc.Process.trace_name_id ~a:p.Port.self
-                ~b:(Access.index msg) k_receive;
-              unblock_receiver t rproc msg
-            | None ->
-              Object_table.shade t.table (Access.index msg);
-              Port.enqueue p
-                ~txn:(if t_key = 0 then 0 else t_key + i)
-                ~msg ~priority:proc.Process.priority ~now:cpu.Processor.clock_ns)
+          (fun i (p, msg) ->
+            accept t p ~sender:(Some proc)
+              ~txn:(if t_key = 0 then 0 else t_key + i)
+              ~priority:proc.Process.priority msg)
           send_ports;
         (* Space the receives freed (net of the group's sends) admits
-           blocked senders, in ascending port order. *)
+           parked senders, in ascending port order. *)
         IM.iter
-          (fun _ (p : Port.t) ->
-            let continue_ = ref true in
-            while !continue_ && not (Port.is_full p) do
-              match Port.pop_sender p with
-              | Some ws ->
-                Port.enqueue p ~msg:ws.Port.sender_msg
-                  ~priority:ws.Port.sender_priority ~now:cpu.Processor.clock_ns;
-                unblock_sender t (proc_of t ws.Port.sender)
-              | None -> continue_ := false
-            done)
+          (fun _ p ->
+            let rec fill () =
+              if not (Port.is_full p) then
+                match Port.pop_sender p with
+                | Some ws ->
+                  admit t p ws;
+                  fill ()
+                | None -> ()
+            in
+            fill ())
           port_by_index;
         if t_key <> 0 then Hashtbl.replace t.txn_applied t_key ();
         Obs.Metrics.incr (Obs.Metrics.counter t.metrics "txn.commits");
@@ -1494,19 +1235,8 @@ let record_fault t (proc : Process.t) cause =
   | Some port_index -> (
     match Port.state_of_index t.table port_index with
     | p when not (Port.is_full p) ->
-      let corpse =
-        Access.make ~index:proc.Process.index ~rights:Rights.read_only
-      in
-      Port.enqueue p ~msg:corpse ~priority:proc.Process.priority ~now:(now t);
-      p.Port.sends <- p.Port.sends + 1;
-      (match Port.pop_receiver p with
-      | Some r ->
-        (match Port.dequeue p ~now:(now t) with
-        | Some msg ->
-          p.Port.receives <- p.Port.receives + 1;
-          unblock_receiver t (proc_of t r) msg
-        | None -> ())
-      | None -> ())
+      accept t p ~sender:None ~priority:proc.Process.priority
+        (Access.make ~index:proc.Process.index ~rights:Rights.read_only)
     | _ -> ()
     | exception Fault.Fault _ -> ()));
   (* Supervision hook (process manager restart policies): runs after the
@@ -1582,8 +1312,7 @@ let fail_processor t id =
       Obs.Metrics.incr t.mon.mon_requeues;
       emit_on t cpu ~name:proc.Process.name ~a:pi ~b:id
         Obs.Event.Proc_requeued;
-      if proc.Process.stopped then proc.Process.status <- Process.Ready
-      else make_ready t proc
+      requeue t proc
     | None -> ());
     List.iter
       (fun (proc : Process.t) ->
@@ -1646,35 +1375,30 @@ let fire_injections t (cpu : Processor.t) =
   in
   go ()
 
-(* Fire expired deadlines of timed sends/receives: surgically remove the
-   process from the port's blocked queue, deliver the documented
-   give-up result, and re-enter the dispatching mix.  Only called when
+(* Fire expired deadlines of [Within] sends and receives: withdraw the
+   process (and a sender's parked message) from the port's blocked queue
+   and resume it with the give-up result.  Only called when
    [timed_waiters > 0]. *)
 let fire_timeouts t ~horizon =
   List.iter
     (fun (proc : Process.t) ->
       match (proc.Process.timeout_at, proc.Process.status) with
-      | Some deadline, Process.Blocked_receive pi when deadline <= horizon ->
+      | Some deadline, ((Process.Blocked_receive pi | Process.Blocked_send pi) as st)
+        when deadline <= horizon ->
         let p = Port.state_of_index t.table pi in
-        ignore (Port.remove_receiver p ~index:proc.Process.index);
-        proc.Process.timeout_at <- None;
-        t.timed_waiters <- t.timed_waiters - 1;
-        proc.Process.pending <- Syscall.R_msg_option None;
+        let index = proc.Process.index in
+        let result, receiving =
+          match st with
+          | Process.Blocked_send _ ->
+            ignore (Port.remove_sender p ~index);
+            (Syscall.R_accepted false, 0)
+          | _ ->
+            ignore (Port.remove_receiver p ~index);
+            (Syscall.R_msg None, 1)
+        in
         Obs.Metrics.incr t.mon.mon_timeouts;
-        emit t ~name:proc.Process.name ~a:pi ~b:1 Obs.Event.Timeout_fired;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
-      | Some deadline, Process.Blocked_send pi when deadline <= horizon ->
-        let p = Port.state_of_index t.table pi in
-        (* The parked message is withdrawn with its sender. *)
-        ignore (Port.remove_sender p ~index:proc.Process.index);
-        proc.Process.timeout_at <- None;
-        t.timed_waiters <- t.timed_waiters - 1;
-        proc.Process.pending <- Syscall.R_accepted false;
-        Obs.Metrics.incr t.mon.mon_timeouts;
-        emit t ~name:proc.Process.name ~a:pi ~b:0 Obs.Event.Timeout_fired;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
+        emit t ~name:proc.Process.name ~a:pi ~b:receiving Obs.Event.Timeout_fired;
+        resume t proc result
       | _ -> ())
     t.processes
 
@@ -1685,8 +1409,7 @@ let wake_sleepers t ~horizon =
       if proc.Process.status = Process.Sleeping && proc.Process.wake_at <= horizon
       then begin
         emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
-        if proc.Process.stopped then proc.Process.status <- Process.Ready
-        else make_ready t proc
+        requeue t proc
       end)
     t.processes
 

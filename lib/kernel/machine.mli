@@ -71,11 +71,6 @@ val emit_event :
   I432_obs.Event.kind ->
   unit
 
-(** Deprecated compat shim: the seed's unstructured trace lines, rendered
-    byte-identically from structured events.  Empty unless the level is
-    [Events_and_legacy_lines]. *)
-val trace_lines : t -> string list
-
 (** Every fault the machine recorded, in emission order: the first fault
     recorded is the first element.  (Internally the list is accumulated
     newest-first for O(1) prepends and reversed here.) *)
@@ -194,23 +189,36 @@ val remove_root : t -> Access.t -> unit
 val roots : t -> Access.t list
 val all_processes : t -> Process.t list
 
-(** {1 Syscalls (usable only inside a process body)} *)
+(** {1 Syscalls (usable only inside a process body)}
 
+    The six port instructions are one-liners over the kernel's two port
+    syscalls, {!Syscall.Send} and {!Syscall.Receive}; they differ only in
+    the {!Syscall.wait} they pass.  Every form charges the same send or
+    receive cost, consumes an armed port-delay injection, and counts a
+    transfer exactly once, when it happens. *)
+
+(** [Block]: waits while the port's queue is full. *)
 val send : t -> port:Access.t -> msg:Access.t -> unit
+
+(** [Block]: waits while no message is available. *)
 val receive : t -> port:Access.t -> Access.t
 
-(** Like {!send}, but gives up once [timeout_ns] of virtual time has
-    passed with the queue still full; reports acceptance.  A budget of 0
-    behaves like {!cond_send}. *)
+(** [Poll]: never waits; reports whether the port accepted the message. *)
+val cond_send : t -> port:Access.t -> msg:Access.t -> bool
+
+(** [Poll]: never waits; [None] when no message is available. *)
+val cond_receive : t -> port:Access.t -> Access.t option
+
+(** [Within timeout_ns]: like {!send}, but gives up once [timeout_ns] of
+    virtual time has passed with the queue still full; reports
+    acceptance.  A budget [<= 0] is {!cond_send}. *)
 val send_timeout : t -> port:Access.t -> msg:Access.t -> timeout_ns:int -> bool
 
-(** Like {!receive}, but returns [None] once [timeout_ns] of virtual time
-    has passed with no message available.  A budget of 0 behaves like
-    {!cond_receive}. *)
+(** [Within timeout_ns]: like {!receive}, but returns [None] once
+    [timeout_ns] of virtual time has passed with no message available.
+    A budget [<= 0] is {!cond_receive}. *)
 val receive_timeout : t -> port:Access.t -> timeout_ns:int -> Access.t option
 
-val cond_send : t -> port:Access.t -> msg:Access.t -> bool
-val cond_receive : t -> port:Access.t -> Access.t option
 val delay : t -> ns:int -> unit
 val yield : t -> unit
 val exit_process : t -> 'a

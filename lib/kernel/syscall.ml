@@ -3,26 +3,21 @@
    Every potentially blocking 432 instruction is performed as an effect; the
    machine's run loop handles it, charges virtual time, and either resumes
    the process immediately or suspends it (saving the one-shot continuation
-   in the process object). *)
+   in the process object).  Ports have one Send and one Receive (paper §4,
+   Fig. 1); the conditional and timed forms are the same instructions with
+   another [wait]. *)
 
 open I432
 
+type wait = Block | Poll | Within of int
+
 type op =
-  | Send of { port : Access.t; msg : Access.t }
-      (** blocks while the port's message queue is full *)
-  | Receive of { port : Access.t }  (** blocks while no message is available *)
-  | Cond_send of { port : Access.t; msg : Access.t }
-      (** never blocks; tells whether the message was accepted *)
-  | Cond_receive of { port : Access.t }  (** never blocks *)
+  | Send of { port : Access.t; msg : Access.t; wait : wait }
+  | Receive of { port : Access.t; wait : wait }
   | Delay of int  (** sleep for the given virtual nanoseconds *)
   | Yield  (** surrender the processor, stay ready *)
   | Preempt  (** involuntary yield injected at time-slice end *)
   | Exit  (** voluntary termination *)
-  | Timed_send of { port : Access.t; msg : Access.t; timeout_ns : int }
-      (** like [Send], but gives up after [timeout_ns] of virtual time;
-          the result reports whether the message was accepted *)
-  | Timed_receive of { port : Access.t; timeout_ns : int }
-      (** like [Receive], but returns [None] at the deadline *)
   | Txn_try of {
       t_key : int;
       t_receives : Access.t list;
@@ -36,9 +31,8 @@ type op =
 
 type result =
   | R_unit
-  | R_msg of Access.t
+  | R_msg of Access.t option
   | R_accepted of bool
-  | R_msg_option of Access.t option
   | R_txn of txn_result
 
 and txn_result =
@@ -53,18 +47,29 @@ type _ Effect.t += Syscall : op -> result Effect.t
 
 let perform op = Effect.perform (Syscall op)
 
+let send ~port ~msg wait =
+  match perform (Send { port; msg; wait }) with
+  | R_accepted b -> b
+  | R_unit | R_msg _ | R_txn _ -> assert false
+
+let receive ~port wait =
+  match perform (Receive { port; wait }) with
+  | R_msg m -> m
+  | R_unit | R_accepted _ | R_txn _ -> assert false
+
+let polls = function Block -> false | Poll -> true | Within ns -> ns <= 0
+
 let op_to_string = function
-  | Send _ -> "send"
-  | Receive _ -> "receive"
-  | Cond_send _ -> "cond-send"
-  | Cond_receive _ -> "cond-receive"
+  | Send { wait = Block; _ } -> "send"
+  | Receive { wait = Block; _ } -> "receive"
+  | Send { wait = Poll; _ } -> "cond-send"
+  | Receive { wait = Poll; _ } -> "cond-receive"
+  | Send { wait = Within ns; _ } -> Printf.sprintf "timed-send(%dns)" ns
+  | Receive { wait = Within ns; _ } -> Printf.sprintf "timed-receive(%dns)" ns
   | Delay ns -> Printf.sprintf "delay(%dns)" ns
   | Yield -> "yield"
   | Preempt -> "preempt"
   | Exit -> "exit"
-  | Timed_send { timeout_ns; _ } -> Printf.sprintf "timed-send(%dns)" timeout_ns
-  | Timed_receive { timeout_ns; _ } ->
-    Printf.sprintf "timed-receive(%dns)" timeout_ns
   | Txn_try { t_receives; t_sends; t_writes; _ } ->
     Printf.sprintf "txn-try(%dr/%ds/%dw)" (List.length t_receives)
       (List.length t_sends) (List.length t_writes)

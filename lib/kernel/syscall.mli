@@ -2,26 +2,35 @@
 
     Every potentially blocking 432 instruction is performed as an effect;
     the machine's run loop handles it, charges virtual time, and either
-    resumes the process or suspends it. *)
+    resumes the process or suspends it.
+
+    Ports have exactly two instructions, {!Send} and {!Receive} (paper §4,
+    Fig. 1).  What the conditional and timed forms add is only how long
+    the caller is willing to wait, so they are the same two instructions
+    with another {!wait}. *)
 
 open I432
 
+(** How long a port instruction may wait for queue space (send) or a
+    message (receive). *)
+type wait =
+  | Block  (** park until the transfer happens *)
+  | Poll  (** never park; report whether the transfer happened *)
+  | Within of int
+      (** park for at most this many virtual ns; [Within ns] with
+          [ns <= 0] is [Poll] *)
+
 type op =
-  | Send of { port : Access.t; msg : Access.t }
-      (** blocks while the port's message queue is full *)
-  | Receive of { port : Access.t }  (** blocks while no message is available *)
-  | Cond_send of { port : Access.t; msg : Access.t }
-      (** never blocks; reports acceptance *)
-  | Cond_receive of { port : Access.t }  (** never blocks *)
+  | Send of { port : Access.t; msg : Access.t; wait : wait }
+      (** result [R_accepted]: [false] only when a [Poll] found the queue
+          full or a [Within] deadline passed *)
+  | Receive of { port : Access.t; wait : wait }
+      (** result [R_msg]: [None] only when a [Poll] found no message or a
+          [Within] deadline passed *)
   | Delay of int  (** sleep for the given virtual nanoseconds *)
   | Yield  (** surrender the processor, stay ready *)
   | Preempt  (** involuntary yield injected at time-slice end *)
   | Exit  (** voluntary termination *)
-  | Timed_send of { port : Access.t; msg : Access.t; timeout_ns : int }
-      (** like [Send], but gives up after [timeout_ns] of virtual time;
-          the result reports whether the message was accepted *)
-  | Timed_receive of { port : Access.t; timeout_ns : int }
-      (** like [Receive], but returns [None] at the deadline *)
   | Txn_try of {
       t_key : int;  (** idempotency key; a key is applied at most once *)
       t_receives : Access.t list;  (** ports to take one message from *)
@@ -37,9 +46,8 @@ type op =
 
 type result =
   | R_unit
-  | R_msg of Access.t
+  | R_msg of Access.t option
   | R_accepted of bool
-  | R_msg_option of Access.t option
   | R_txn of txn_result
 
 and txn_result =
@@ -61,5 +69,15 @@ type _ Effect.t += Syscall : op -> result Effect.t
 (** Perform one syscall; only meaningful inside a process body running
     under the machine's handler. *)
 val perform : op -> result
+
+(** Perform {!Send}; [true] when the port accepted the message. *)
+val send : port:Access.t -> msg:Access.t -> wait -> bool
+
+(** Perform {!Receive}; [None] when no message arrived in time. *)
+val receive : port:Access.t -> wait -> Access.t option
+
+(** [true] when the wait never parks the caller ([Poll], [Within ns] with
+    [ns <= 0]). *)
+val polls : wait -> bool
 
 val op_to_string : op -> string

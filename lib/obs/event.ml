@@ -284,26 +284,3 @@ let subsystems =
 let to_string e =
   Printf.sprintf "#%d %dns cpu%d %s name=%s detail=%s a=%d b=%d" e.seq
     e.ts_ns e.cpu (kind_to_string e.kind) e.name e.detail e.a e.b
-
-(* Compat shim: render the pre-structured-tracing trace line for the events
-   that used to produce one.  The formats are frozen — the seed emitted
-   exactly these five strings — so legacy consumers see byte-identical
-   output. *)
-let legacy_line e =
-  match e.kind with
-  | Spawn -> Some (Printf.sprintf "spawn %s as process %d" e.name e.a)
-  | Stop -> Some (Printf.sprintf "stop %s" e.name)
-  | Start -> Some (Printf.sprintf "start %s" e.name)
-  | Finish -> Some (Printf.sprintf "process %s finished" e.name)
-  | Deschedule ->
-    Some (Printf.sprintf "process %s descheduled on %s" e.name e.detail)
-  | Exit | Fault | Ready | Dispatch | Preempt | Yield | Block_send
-  | Block_receive | Sleep | Wake | Send | Receive | Allocate | Release
-  | Sro_create | Sro_destroy | Domain_call | Domain_return | Gc_mark_begin
-  | Gc_mark_end | Gc_sweep_begin | Gc_sweep_end | Fi_inject | Cpu_offline
-  | Proc_requeued | Alloc_retry | Timeout_fired | Proc_restarted
-  | Remote_send | Remote_deliver | Frame_tx | Frame_rx | Journal_append
-  | Journal_sync | Store_compact | Ckpt_save | Ckpt_restore | Req_issue
-  | Req_done | Node_kill | Node_restart | Frame_dead | Dead_letter
-  | Swap_out | Swap_in | Swap_fault | Txn_commit | Txn_abort | Txn_dup_drop
-  | Hist_append -> None

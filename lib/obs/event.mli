@@ -89,7 +89,3 @@ val category : kind -> string
 val subsystems : string list
 
 val to_string : t -> string
-
-(** Compat shim: the seed's unstructured trace line for this event, for the
-    five kinds that used to produce one (byte-identical formats). *)
-val legacy_line : t -> string option

@@ -26,20 +26,11 @@
    the same physical string over and over (a process's name,
    [op_to_string]'s literals), so a one-entry memo per field absorbs
    almost every lookup.  {!Event.t} records are materialized only when a
-   reader asks for them.
+   reader asks for them. *)
 
-   At [Events_and_legacy_lines] the tracer also renders the seed's
-   unstructured trace lines through {!Event.legacy_line} as events are
-   emitted.  The lines live in an unbounded list (exactly like the string
-   tracer this replaces), so ring overflow never loses a legacy line and
-   the old [trace_lines] output stays byte-identical. *)
+type level = Off | Events
 
-type level = Off | Events | Events_and_legacy_lines
-
-let level_to_string = function
-  | Off -> "off"
-  | Events -> "events"
-  | Events_and_legacy_lines -> "events+legacy"
+let level_to_string = function Off -> "off" | Events -> "events"
 
 (* Field offsets within a slot. *)
 let fields = 8
@@ -89,7 +80,6 @@ type t = {
      subsystem costs one array load per event, nothing else. *)
   mask : bool array;
   mutable emitted : int;  (* total events ever emitted (= next seq) *)
-  mutable legacy : string list;  (* newest first, like the seed's buffer *)
 }
 
 let interns_create () =
@@ -170,7 +160,6 @@ let create ?(capacity = default_capacity) ~level ~processors () =
     strings = interns_create ();
     mask = Array.make Event.kind_count true;
     emitted = 0;
-    legacy = [];
   }
 
 let level t = t.level
@@ -207,7 +196,7 @@ let set_filter t ~keep =
 let wants t ~kind_code =
   match t.level with
   | Off -> false
-  | Events | Events_and_legacy_lines -> Array.unsafe_get t.mask kind_code
+  | Events -> Array.unsafe_get t.mask kind_code
 
 (* The one physical "" that omitted ?name/?detail default to, so the
    common no-string case is a single pointer compare, not a memo scan. *)
@@ -220,12 +209,7 @@ let no_string = ""
 let emit_raw t ~ts_ns ~cpu ~kind_code ~name_id ~detail_id ~a ~b =
   match t.level with
   | Off -> ()
-  | (Events | Events_and_legacy_lines) as lvl
-    when Array.unsafe_get t.mask kind_code ->
-    let record_legacy = match lvl with
-      | Events_and_legacy_lines -> true
-      | _ -> false
-    in
+  | Events when Array.unsafe_get t.mask kind_code ->
     let seq = t.emitted in
     t.emitted <- seq + 1;
     let idx =
@@ -261,25 +245,8 @@ let emit_raw t ~ts_ns ~cpu ~kind_code ~name_id ~detail_id ~a ~b =
     Array.unsafe_set d (base + 4) b;
     Array.unsafe_set d (base + 5) kind_code;
     Array.unsafe_set d (base + 6) name_id;
-    Array.unsafe_set d (base + 7) detail_id;
-    if record_legacy then begin
-      match
-        Event.legacy_line
-          {
-            Event.seq;
-            ts_ns;
-            cpu;
-            kind = Event.kind_of_int kind_code;
-            name = t.strings.pool.(name_id);
-            detail = t.strings.pool.(detail_id);
-            a;
-            b;
-          }
-      with
-      | Some line -> t.legacy <- line :: t.legacy
-      | None -> ()
-    end
-  | Events | Events_and_legacy_lines -> ()  (* subsystem filtered out *)
+    Array.unsafe_set d (base + 7) detail_id
+  | Events -> ()  (* subsystem filtered out *)
 
 let string_id t s =
   match t.level with Off -> 0 | _ -> intern t.strings s
@@ -288,7 +255,7 @@ let emit t ~ts_ns ~cpu ?(name = no_string) ?(detail = no_string) ?(a = 0)
     ?(b = 0) kind =
   match t.level with
   | Off -> ()
-  | Events | Events_and_legacy_lines ->
+  | Events ->
     (* Mask check before interning: a filtered-out subsystem must not pay
        for (or pollute) the intern pool. *)
     let kind_code = Event.kind_to_int kind in
@@ -320,8 +287,6 @@ let dropped_on t ~cpu =
   let i = cpu + 1 in
   if i < 0 || i >= Array.length t.dropped then 0 else t.dropped.(i)
 
-let legacy_lines t = List.rev t.legacy
-
 let clear t =
   Array.iter
     (fun r ->
@@ -338,5 +303,4 @@ let clear t =
   Array.fill st.memo_s 0 memo_slots "";
   Array.fill st.memo_id 0 memo_slots 0;
   st.memo_next <- 0;
-  t.emitted <- 0;
-  t.legacy <- []
+  t.emitted <- 0

@@ -3,11 +3,9 @@
     with a per-ring drop counter.
 
     [Off] is free on the hot path (one field read); [Events] records
-    structured events only; [Events_and_legacy_lines] additionally renders
-    the seed's unstructured trace lines (byte-identical, unbounded, immune
-    to ring overflow) for legacy consumers. *)
+    structured events. *)
 
-type level = Off | Events | Events_and_legacy_lines
+type level = Off | Events
 
 val level_to_string : level -> string
 
@@ -86,9 +84,5 @@ val emitted : t -> int
 val dropped : t -> int
 
 val dropped_on : t -> cpu:int -> int
-
-(** The seed-format trace lines, oldest first.  Empty unless the level is
-    [Events_and_legacy_lines]. *)
-val legacy_lines : t -> string list
 
 val clear : t -> unit

@@ -134,6 +134,26 @@ let test_send_timeout_fires () =
   Alcotest.(check (list string)) "no invariant violations" []
     (Fi.check_invariants m)
 
+let test_port_delay_charged_by_cond_send () =
+  (* An armed port delay is charged at the next port syscall whatever its
+     wait mode (DESIGN.md §8): a conditional send consumes it too. *)
+  let m = mk () in
+  let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let delay_ns = 250_000 in
+  K.Machine.schedule_injection m ~at_ns:0 (K.Machine.Inj_port_delay delay_ns);
+  let elapsed = ref 0 in
+  ignore
+    (K.Machine.spawn m ~name:"poller" (fun () ->
+         let msg = K.Machine.allocate_generic m () in
+         let t0 = K.Machine.now m in
+         ignore (K.Machine.cond_send m ~port ~msg);
+         elapsed := K.Machine.now m - t0));
+  let _ = K.Machine.run m in
+  Alcotest.(check int) "injection consumed" 0 (K.Machine.armed_port_delay_ns m);
+  Alcotest.(check int) "clock moved by send + delay"
+    ((K.Machine.timings m).Timings.send_ns + delay_ns)
+    !elapsed
+
 let test_send_timeout_accepted () =
   let m = mk () in
   let port = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
@@ -402,6 +422,8 @@ let suite =
       test_send_timeout_fires;
     Alcotest.test_case "send timeout beaten by receiver" `Quick
       test_send_timeout_accepted;
+    Alcotest.test_case "cond send charges an armed port delay" `Quick
+      test_port_delay_charged_by_cond_send;
     Alcotest.test_case "allocation retry recovers" `Quick
       test_allocate_retry_recovers;
     Alcotest.test_case "allocation retry re-raises when spent" `Quick

@@ -1,8 +1,6 @@
 (* Tests for the observability layer: tracer rings (overflow, drop
-   accounting), the legacy trace-line compat shim (byte identity with the
-   seed's formats), cross-run determinism of events and metrics, the
-   Chrome trace exporter, the metrics registry, and the snapshot
-   extensions. *)
+   accounting), cross-run determinism of events and metrics, the Chrome
+   trace exporter, the metrics registry, and the snapshot extensions. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -79,8 +77,7 @@ let test_off_level_is_inert () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
   Obs.Tracer.emit t ~ts_ns:1 ~cpu:0 ~name:"ghost" Obs.Event.Spawn;
   Alcotest.(check int) "nothing emitted" 0 (Obs.Tracer.emitted t);
-  Alcotest.(check int) "nothing retained" 0 (Obs.Tracer.retained t);
-  Alcotest.(check (list string)) "no legacy lines" [] (Obs.Tracer.legacy_lines t)
+  Alcotest.(check int) "nothing retained" 0 (Obs.Tracer.retained t)
 
 let test_kind_codes_roundtrip () =
   (* The packed rings store kinds as dense ints; the mapping must be a
@@ -124,52 +121,6 @@ let test_subsystem_filter () =
   let off = Obs.Tracer.create ~level:Obs.Tracer.Off ~processors:1 () in
   Alcotest.(check bool) "off never wants" false
     (Obs.Tracer.wants off ~kind_code:(Obs.Event.kind_to_int Obs.Event.Send))
-
-(* ---------------- Legacy compat shim ---------------- *)
-
-let test_legacy_lines_byte_identical () =
-  (* The shim must render the seed's exact strings from structured
-     events. *)
-  let m = mk ~level:Obs.Tracer.Events_and_legacy_lines () in
-  let p =
-    K.Machine.spawn m ~name:"traced" (fun () -> K.Machine.yield m)
-  in
-  let _ = run m in
-  let index = (K.Machine.process_state m p).K.Process.index in
-  let lines = K.Machine.trace_lines m in
-  let mem line = List.mem line lines in
-  Alcotest.(check bool) "seed spawn format" true
-    (mem (Printf.sprintf "spawn traced as process %d" index));
-  Alcotest.(check bool) "seed finish format" true
-    (mem "process traced finished");
-  (* Every legacy line is the rendering of some retained or shim-recorded
-     event, in event order. *)
-  let from_events =
-    List.filter_map Obs.Event.legacy_line (K.Machine.events m)
-  in
-  Alcotest.(check (list string)) "shim agrees with structured stream"
-    from_events lines
-
-let test_events_level_has_no_legacy_lines () =
-  let m = workload ~level:Obs.Tracer.Events () in
-  Alcotest.(check (list string)) "no lines at Events" []
-    (K.Machine.trace_lines m);
-  Alcotest.(check bool) "but events recorded" true
-    (K.Machine.events m <> [])
-
-let test_legacy_lines_survive_ring_overflow () =
-  (* The shim is unbounded: overflowing the event rings must not lose
-     lines, because legacy consumers expect the full history. *)
-  let t =
-    Obs.Tracer.create ~capacity:2
-      ~level:Obs.Tracer.Events_and_legacy_lines ~processors:1 ()
-  in
-  for i = 1 to 6 do
-    Obs.Tracer.emit t ~ts_ns:i ~cpu:0 ~name:"p" ~a:i Obs.Event.Spawn
-  done;
-  Alcotest.(check int) "rings overflowed" 4 (Obs.Tracer.dropped t);
-  Alcotest.(check int) "all lines kept" 6
-    (List.length (Obs.Tracer.legacy_lines t))
 
 (* ---------------- Determinism ---------------- *)
 
@@ -285,11 +236,6 @@ let suite =
     ("tracer: off level inert", `Quick, test_off_level_is_inert);
     ("tracer: kind codes roundtrip", `Quick, test_kind_codes_roundtrip);
     ("tracer: subsystem filter", `Quick, test_subsystem_filter);
-    ("shim: byte-identical lines", `Quick, test_legacy_lines_byte_identical);
-    ("shim: silent at Events", `Quick, test_events_level_has_no_legacy_lines);
-    ( "shim: survives ring overflow",
-      `Quick,
-      test_legacy_lines_survive_ring_overflow );
     ("determinism: events and metrics", `Quick, test_event_stream_determinism);
     ("export: chrome trace", `Quick, test_chrome_export_structure);
     ("metrics: registry", `Quick, test_metrics_registry);
