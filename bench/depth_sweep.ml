@@ -203,7 +203,7 @@ let deltas rows =
 
 let to_json ?(bechamel = []) ?trace_overhead ?fi_overhead ?net_rtt ?store_tp
     ?par_speedup ?swap_overhead ~mode rows =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("schema", Str "imax432-bench-micro/1");

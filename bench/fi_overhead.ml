@@ -124,7 +124,7 @@ let print_summary r =
     r.messages (r.plain_ns /. 1e6) (r.timed_ns /. 1e6) r.overhead_pct
 
 let to_json r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("messages", Int r.messages);

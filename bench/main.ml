@@ -6,9 +6,7 @@
      dune exec bench/main.exe micro               # bechamel wall-clock micro-benches
      dune exec bench/main.exe micro -- --json     # + depth sweep, writes BENCH_micro.json
      dune exec bench/main.exe micro -- --json --smoke   # short CI run (skips bechamel)
-     dune exec bench/main.exe macro -- --json     # offered-load sweep, writes BENCH_macro.json
-     dune exec bench/main.exe macro -- --json --smoke --assert-sane   # CI macro gate
-     ... --out PATH                               # JSON destination (default BENCH_{micro,macro}.json)
+     ... --out PATH                               # JSON destination (default BENCH_micro.json)
 
    Experiment ids and their paper sources are listed in DESIGN.md §4 and
    EXPERIMENTS.md; the JSON schema is documented in EXPERIMENTS.md. *)
@@ -116,7 +114,7 @@ let run_micro args =
     let par_speedup = Par_speedup.measure ~smoke () in
     Par_speedup.print_summary par_speedup;
     let mode = if smoke then "smoke" else "full" in
-    Json_out.write_file ~path:out
+    I432_obs.Jout.write_file ~path:out
       (Depth_sweep.to_json ~bechamel:estimates ~trace_overhead:overhead
          ~fi_overhead ~net_rtt ~store_tp ~par_speedup ~swap_overhead ~mode
          rows);
@@ -141,35 +139,10 @@ let run_micro args =
     end
   end
 
-let run_macro args =
-  let json = List.mem "--json" args in
-  let smoke = List.mem "--smoke" args in
-  let sane_gate = List.mem "--assert-sane" args in
-  let out =
-    let rec go = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> go rest
-      | [] -> "BENCH_macro.json"
-    in
-    go args
-  in
-  let r = Macro.measure ~smoke () in
-  Macro.print_summary r;
-  if json then begin
-    Json_out.write_file ~path:out (Macro.to_json r);
-    Printf.printf "wrote %s\n" out
-  end;
-  if sane_gate && not (Macro.check r) then begin
-    print_endline
-      "FAIL: macro sweep sanity (completion, quantile order, knee, \
-       determinism)";
-    exit 1
-  end
-
 let usage () =
   print_endline
-    "usage: main.exe [all|micro [--json] [--smoke] [--out PATH]|macro [--json] \
-     [--smoke] [--assert-sane] [--out PATH]|ablations|<experiment-id>]";
+    "usage: main.exe [all|micro [--json] [--smoke] [--out PATH]|ablations|\
+     <experiment-id>]";
   print_endline "experiments:";
   List.iter
     (fun (id, description, _) -> Printf.printf "  %-6s %s\n" id description)
@@ -187,7 +160,6 @@ let () =
     run_ablations ();
     Micro.run ()
   | _ :: "micro" :: rest -> run_micro rest
-  | _ :: "macro" :: rest -> run_macro rest
   | [ _; "ablations" ] -> run_ablations ()
   | [ _; name ] -> if not (run_named name) then usage ()
   | _ -> usage ()

@@ -155,7 +155,7 @@ let print_summary r =
     r.ratio r.local_rtt_virtual_ns r.remote_rtt_virtual_ns
 
 let to_json r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("roundtrips", Int r.roundtrips);

@@ -169,7 +169,7 @@ let print_summary r =
       r.host_cores limit
 
 let to_json r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("nodes", Int r.nodes);

@@ -152,7 +152,7 @@ let print_summary r =
     r.ckpt_trips r.ckpt_save_ns r.ckpt_restore_ns
 
 let to_json_tp r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("pairs", Int r.pairs);
@@ -161,7 +161,7 @@ let to_json_tp r =
     ]
 
 let to_json_ckpt r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("trips", Int r.ckpt_trips);

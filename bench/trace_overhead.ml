@@ -174,7 +174,7 @@ let print_summary r =
     r.filtered_pct
 
 let to_json r =
-  let open Json_out in
+  let open I432_obs.Jout in
   Obj
     [
       ("messages", Int r.messages);

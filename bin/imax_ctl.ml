@@ -32,6 +32,10 @@ let die fmt =
       exit 1)
     fmt
 
+(* A machine's event stream, one rendered line per event: what every
+   --check determinism and restore gate compares. *)
+let stream m = List.map Obs.Event.to_string (K.Machine.events m)
+
 (* ---------------- shared flags ---------------- *)
 
 let processors =
@@ -465,9 +469,6 @@ let scenario_chaos config snapshot seed clients jobs faults chrome_out check =
   if check then begin
     (* Same seed, fresh machine: the event streams must be identical. *)
     let m2, _, _, printed2, dropped2 = run () in
-    let stream mach =
-      List.map Obs.Event.to_string (K.Machine.events mach)
-    in
     if stream m <> stream m2 || printed <> printed2 || dropped <> dropped2
     then die "determinism check FAILED: event streams differ"
     else print_endline "determinism check: identical event streams"
@@ -751,7 +752,6 @@ let scenario_net config nodes par seed clients jobs link_faults partitions
     let _, _, _, report2, printed2, machines2 =
       run ~engine:Net.Cluster.Seq ()
     in
-    let stream m = List.map Obs.Event.to_string (K.Machine.events m) in
     let streams ms = Array.to_list (Array.map stream ms) in
     if
       printed <> printed2 || report <> report2
@@ -936,8 +936,6 @@ let boot_spool_cluster ~processors ~clients ~jobs () =
            done))
   done;
   cluster
-
-let stream m = List.map Obs.Event.to_string (K.Machine.events m)
 
 let checkpoint_single ~processors ~clients ~jobs ~path ~kill_ns ~check =
   let boot = boot_spool_machine ~processors ~clients ~jobs in
@@ -1790,7 +1788,6 @@ let scenario_txn path accounts transfers workers seed cluster kill_ns
   if ckpt_ns > kill_ns then
     die "--ckpt-ns %d: the checkpoint must precede the kill at %d ns" ckpt_ns
       kill_ns;
-  let stream m = List.map Obs.Event.to_string (K.Machine.events m) in
   let txn_counters m =
     List.filter
       (fun c ->

@@ -139,44 +139,25 @@ end
 (* Swapping implementation (the paper's second release)                *)
 (* ------------------------------------------------------------------ *)
 
-type victim_policy = Lru | Fifo_policy | Clock | Level_aware
-
-let policy_name = function
-  | Lru -> "lru"
-  | Fifo_policy -> "fifo"
-  | Clock -> "clock"
-  | Level_aware -> "level"
-
-let vm_policy = function
-  | Lru -> Vm.Policy.Lru
-  | Fifo_policy -> Vm.Policy.Fifo
-  | Clock -> Vm.Policy.Clock
-  | Level_aware -> Vm.Policy.Level_aware
+(* Swap device latencies: ~0.4 ms each way, a fast backing store. *)
+let swap_in_ns = 400_000
+let swap_out_ns = 400_000
 
 module type SWAP_CONFIG = sig
-  val victim_policy : victim_policy
-  val swap_in_ns : int
-  val swap_out_ns : int
-end
-
-module Default_swap_config = struct
-  let victim_policy = Lru
-  let swap_in_ns = 400_000  (* ~0.4 ms: a fast backing store *)
-  let swap_out_ns = 400_000
+  val victim_policy : Vm.Policy.t
 end
 
 module type SWAPPING = sig
   include S
 
-  (** The additional management interface (§6.2): configure the victim
-      policy, a resident-set RAM envelope, and a swap device.  [create]
-      is [create_with] with the functor's policy, no envelope, and an
-      embedded in-memory device — and, crucially, no observability: only
-      an explicitly attached device turns on swap.* counters and the
-      Swap_out/Swap_in/Swap_fault events, so a system without one is
-      byte-identical to the pre-vm-tier manager. *)
+  (** The additional management interface (§6.2): configure a
+      resident-set RAM envelope and a swap device.  [create] is
+      [create_with] with no envelope and an embedded in-memory device —
+      and, crucially, no observability: only an explicitly attached
+      device turns on swap.* counters and the Swap_out/Swap_in/Swap_fault
+      events, so a system without one is byte-identical to the
+      pre-vm-tier manager. *)
   val create_with :
-    ?policy:victim_policy ->
     ?ram_bytes:int ->
     ?device:Vm.Swap_device.t ->
     K.Machine.t ->
@@ -184,7 +165,6 @@ module type SWAPPING = sig
     t
 
   val device : t -> Vm.Swap_device.t
-  val policy : t -> victim_policy
   val ram_bytes : t -> int option
   val resident_bytes : t -> int
   val resident_count : t -> int
@@ -206,15 +186,14 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
     mutable locals : (int * Access.t) list;
     rset : Vm.Resident_set.t;
     dev : Vm.Swap_device.t;
-    pol : victim_policy;
     obs : observed option;
     st : stats;
   }
 
-  let name = "swapping/" ^ policy_name C.victim_policy
+  let policy_name = Vm.Policy.to_string C.victim_policy
+  let name = "swapping/" ^ policy_name
 
-  let create_with ?policy ?ram_bytes ?device machine ~heap_bytes =
-    let pol = Option.value policy ~default:C.victim_policy in
+  let create_with ?ram_bytes ?device machine ~heap_bytes =
     let dev, obs =
       match device with
       | Some d ->
@@ -236,9 +215,8 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
       machine;
       heap;
       locals = [];
-      rset = Vm.Resident_set.create ~policy:(vm_policy pol) ?ram_bytes ();
+      rset = Vm.Resident_set.create ~policy:C.victim_policy ?ram_bytes ();
       dev;
-      pol;
       obs;
       st = fresh_stats ();
     }
@@ -246,7 +224,6 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
   let create machine ~heap_bytes = create_with machine ~heap_bytes
 
   let device t = t.dev
-  let policy t = t.pol
   let ram_bytes t = Vm.Resident_set.ram_bytes t.rset
   let resident_bytes t = Vm.Resident_set.resident_bytes t.rset
   let resident_count t = Vm.Resident_set.count t.rset
@@ -304,7 +281,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
     e.Object_table.swapped_out <- true;
     e.Object_table.dirty <- false;
     Vm.Resident_set.remove t.rset ~index;
-    if not clean then K.Machine.charge t.machine C.swap_out_ns;
+    if not clean then K.Machine.charge t.machine swap_out_ns;
     t.st.swap_outs <- t.st.swap_outs + 1;
     match t.obs with
     | Some o ->
@@ -315,7 +292,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
              (K.Machine.metrics t.machine)
              "swap.clean_evictions")
       else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
-      K.Machine.emit_event t.machine ~name:(policy_name t.pol) ~a:index
+      K.Machine.emit_event t.machine ~name:policy_name ~a:index
         ~b:e.Object_table.data_length Obs.Event.Swap_out
     | None -> ()
 
@@ -372,7 +349,7 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
           e.Object_table.swapped_out <- false;
           e.Object_table.dirty <- false;
           note_resident t index;
-          K.Machine.charge t.machine C.swap_in_ns;
+          K.Machine.charge t.machine swap_in_ns;
           t.st.swap_ins <- t.st.swap_ins + 1;
           (match t.obs with
           | Some o ->
@@ -480,22 +457,18 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
   let stats t = t.st
 end
 
-module Swapping = Make_swapping (Default_swap_config)
+module Swapping = Make_swapping (struct
+  let victim_policy = Vm.Policy.Lru
+end)
 
 module Swapping_fifo = Make_swapping (struct
-  let victim_policy = Fifo_policy
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
+  let victim_policy = Vm.Policy.Fifo
 end)
 
 module Swapping_clock = Make_swapping (struct
-  let victim_policy = Clock
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
+  let victim_policy = Vm.Policy.Clock
 end)
 
 module Swapping_level = Make_swapping (struct
-  let victim_policy = Level_aware
-  let swap_in_ns = Default_swap_config.swap_in_ns
-  let swap_out_ns = Default_swap_config.swap_out_ns
+  let victim_policy = Vm.Policy.Level_aware
 end)

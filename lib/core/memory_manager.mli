@@ -48,34 +48,22 @@ end
 (** The paper's first release: no swapping; exhaustion faults. *)
 module Nonswapping : S
 
-(** Victim selection for the swapping implementation, realized by
-    {!I432_vm.Resident_set}:
-    - [Lru] — least recent (last touch, then admission order);
-    - [Fifo_policy] — admission order;
-    - [Clock] — second chance over the admission ring;
-    - [Level_aware] — highest lifetime level first (shortest-lived SRO
-      segments are the cheapest to lose), LRU within a level. *)
-type victim_policy = Lru | Fifo_policy | Clock | Level_aware
-
-val policy_name : victim_policy -> string
-
+(** The swapping implementation's configuration: its victim policy,
+    realized by {!I432_vm.Resident_set} (see {!I432_vm.Policy}).  Swap-in
+    and swap-out each charge 0.4 ms, a fast backing store. *)
 module type SWAP_CONFIG = sig
-  val victim_policy : victim_policy
-  val swap_in_ns : int
-  val swap_out_ns : int
+  val victim_policy : Vm.Policy.t
 end
-
-module Default_swap_config : SWAP_CONFIG
 
 (** The swapping interface: {!S} plus the management surface the
     virtual-memory tier adds. *)
 module type SWAPPING = sig
   include S
 
-  (** [create_with] configures what [create] defaults: the victim
-      [policy], a resident-set RAM envelope in bytes (evictions keep the
-      sum of resident segment bytes at or under it), and the swap
-      [device] absent segments live on.
+  (** [create_with] configures what [create] defaults: a resident-set
+      RAM envelope in bytes (evictions keep the sum of resident segment
+      bytes at or under it) and the swap [device] absent segments live
+      on.  The victim policy is the functor's.
 
       Attaching a device is the observability switch, mirroring
       [Store.attach]: only then are the [swap.ins]/[swap.outs]/
@@ -84,7 +72,6 @@ module type SWAPPING = sig
       (no device, no envelope) embeds a private in-memory device and
       stays byte-identical to the pre-vm-tier manager. *)
   val create_with :
-    ?policy:victim_policy ->
     ?ram_bytes:int ->
     ?device:Vm.Swap_device.t ->
     K.Machine.t ->
@@ -92,7 +79,6 @@ module type SWAPPING = sig
     t
 
   val device : t -> Vm.Swap_device.t
-  val policy : t -> victim_policy
   val ram_bytes : t -> int option
   val resident_bytes : t -> int
   val resident_count : t -> int

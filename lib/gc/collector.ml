@@ -184,20 +184,24 @@ let deliver_to_filter t (e : Object_table.entry) =
   match filter_port with
   | None -> false
   | Some port_index -> (
-    match I432_kernel.Port.state_of_index table port_index with
-    | p when not (I432_kernel.Port.is_full p) ->
-      (* Manufacture a full-rights access descriptor for the corpse and send
-         it to the type manager (§8.2). *)
-      let corpse = Access.make ~index:e.Object_table.index ~rights:Rights.full in
-      I432_kernel.Port.enqueue p ~msg:corpse ~priority:0 ~now:(I432_kernel.Machine.now t.machine);
-      p.I432_kernel.Port.sends <- p.I432_kernel.Port.sends + 1;
-      (* The corpse is reachable again: blacken it for this cycle. *)
+    (* Manufacture a full-rights access descriptor for the corpse and send
+       it to the type manager (§8.2) through the kernel's transfer path, so
+       a manager parked on the filter port is woken with it. *)
+    let corpse = Access.make ~index:e.Object_table.index ~rights:Rights.full in
+    match
+      I432_kernel.Machine.deliver_external t.machine
+        ~port:(Access.make ~index:port_index ~rights:Rights.full)
+        ~msg:corpse ~priority:0 ()
+    with
+    | true ->
+      (* The corpse is reachable again: blacken it for this cycle (the
+         send only shaded it). *)
       e.Object_table.color <- Object_table.Black;
       t.stats.filtered <- t.stats.filtered + 1;
       if Obj_type.equal e.Object_table.otype Obj_type.Process then
         t.stats.processes_recovered <- t.stats.processes_recovered + 1;
       true
-    | _ -> false
+    | false -> false
     | exception Fault.Fault _ -> false)
 
 (* Free a white object back to the SRO that created it. *)

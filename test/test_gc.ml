@@ -213,6 +213,43 @@ let test_destruction_filter_delivers () =
   | [ corpse ] -> Alcotest.(check int) "same object" inst_index (Access.index corpse)
   | _ -> Alcotest.fail "expected exactly one corpse"
 
+(* A type manager parked in a *blocking* receive on its filter port is
+   woken with the corpse: the collector sends through the kernel's
+   transfer path, which hands the message to the parked receiver and
+   counts the send and the receive like any other. *)
+let test_destruction_filter_wakes_parked_manager () =
+  let m, c = mk () in
+  let table = K.Machine.table m in
+  let sro = K.Machine.global_sro m in
+  let td = Type_def.create table sro ~name:"resource" in
+  let port = K.Machine.create_port m ~capacity:8 ~discipline:K.Port.Fifo () in
+  G.Destruction_filter.register table ~typedef:td ~port;
+  let inst = Type_def.create_instance table td sro ~data_length:16 ~access_length:0 in
+  let inst_index = Access.index inst in
+  let got = ref None in
+  ignore
+    (K.Machine.spawn m ~name:"manager" (fun () ->
+         got := Some (K.Machine.receive m ~port)));
+  let parked = K.Machine.run m in
+  Alcotest.(check (list string)) "manager parked before the cycle"
+    [ "manager" ] parked.K.Machine.deadlocked;
+  ignore
+    (K.Machine.spawn m ~name:"collector-driver" (fun () ->
+         ignore (G.Collector.cycle c)));
+  let report = K.Machine.run m in
+  Alcotest.(check (list string)) "nobody left parked" []
+    report.K.Machine.deadlocked;
+  (match !got with
+  | Some corpse ->
+    Alcotest.(check int) "manager received the corpse" inst_index
+      (Access.index corpse)
+  | None -> Alcotest.fail "manager was never woken");
+  Alcotest.(check bool) "corpse kept for its manager" true
+    (Object_table.is_valid table inst_index);
+  let sends, receives, _, _, _, _ = K.Machine.port_stats m port in
+  Alcotest.(check (pair int int)) "send and receive counted" (1, 1)
+    (sends, receives)
+
 let test_unfiltered_custom_freed () =
   let m, c = mk () in
   let table = K.Machine.table m in
@@ -351,6 +388,8 @@ let suite =
      test_write_barrier_preserves_concurrent_store);
     ("allocation during mark survives", `Quick, test_allocation_during_mark_survives);
     ("destruction filter delivers", `Quick, test_destruction_filter_delivers);
+    ("destruction filter wakes parked manager", `Quick,
+     test_destruction_filter_wakes_parked_manager);
     ("unfiltered custom freed", `Quick, test_unfiltered_custom_freed);
     ("filtered corpse not recollected", `Quick, test_filtered_corpse_not_recollected);
     ("lost process recovered", `Quick, test_lost_process_recovered);

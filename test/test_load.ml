@@ -288,6 +288,51 @@ let test_cluster_overload_drains () =
   Alcotest.(check int) "all requests served under overload"
     (Load.Arrival.total s) o.Load.Loadgen.o_completed
 
+(* Whole-node failure under serving load: kill the serving node at ~40%
+   of the schedule horizon and splice its checkpoint replay back in an
+   eighth of the horizon later.  The outage overlaps the arrival stream
+   yet stays far below the ARQ give-up time, so every request completes
+   (the in-flight ones retransmitted into the rejoined server), and a
+   same-seed re-run reproduces every stream. *)
+let test_cluster_chaos_kill_rejoin () =
+  let s = spec ~seed:42 ~users:20 ~sessions:1 ~requests:3 ~rate:8_000.0 () in
+  let reqs = Load.Arrival.generate s in
+  let horizon = Load.Arrival.horizon_ns reqs in
+  let quantum = 100_000 in
+  let chaos =
+    {
+      Load.Loadgen.c_kill_after_rounds = max 1 (horizon * 2 / 5 / quantum);
+      c_outage_ns = max (10 * quantum) (horizon / 8);
+    }
+  in
+  let run () =
+    Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~engine:Net.Cluster.Seq
+      ~trace_level:Obs.Tracer.Events ~chaos ~spec:s ()
+  in
+  let streams (o : Load.Loadgen.outcome) =
+    ( Load.Arrival.render o.Load.Loadgen.o_requests,
+      Load.Loadgen.span_stream o,
+      Obs.Metrics.render o.Load.Loadgen.o_metrics )
+  in
+  let a = run () and b = run () in
+  Alcotest.(check int) "every request completed" (Load.Arrival.total s)
+    a.Load.Loadgen.o_completed;
+  let restarts =
+    match Obs.Metrics.find_counter a.Load.Loadgen.o_metrics "node.restarts" with
+    | Some c -> Obs.Metrics.counter_value c
+    | None -> 0
+  in
+  Alcotest.(check bool) "server restarted" true (restarts >= 1);
+  (match a.Load.Loadgen.o_chaos with
+  | Some (kill_at, restart_at) ->
+    Alcotest.(check bool) "outage overlaps the arrivals" true
+      (Array.exists
+         (fun (r : Load.Arrival.request) ->
+           r.Load.Arrival.r_at_ns >= kill_at && r.Load.Arrival.r_at_ns < restart_at)
+         reqs)
+  | None -> Alcotest.fail "no kill staged");
+  Alcotest.(check bool) "same-seed re-run identical" true (streams a = streams b)
+
 let suite =
   [
     ("log_hist basic", `Quick, test_log_hist_basic);
@@ -308,4 +353,5 @@ let suite =
     ("cluster completes all", `Quick, test_cluster_completes_all);
     QCheck_alcotest.to_alcotest prop_cluster_par_equals_seq;
     ("cluster overload drains", `Quick, test_cluster_overload_drains);
+    ("cluster chaos kill/rejoin", `Quick, test_cluster_chaos_kill_rejoin);
   ]

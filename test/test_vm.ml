@@ -422,6 +422,96 @@ let test_stale_image_invalidated () =
   Alcotest.(check int) "reused index reads its own image" 5
     (K.Machine.read_word m d ~offset:0)
 
+(* ---------------- Envelope sweep ---------------- *)
+
+(* The multiuser working set under a shrinking RAM envelope: 4 000
+   32-byte objects on a store-backed device, users touching uniformly at
+   random and verifying each object's payload.  Halving the envelope
+   (1/2, 1/4, 1/8 of the working set) can only raise the fault rate per
+   touch; no read ever comes back corrupt, and the resident set sits
+   inside the envelope at halt. *)
+let swap_point ~fraction =
+  let objects = 4_000 and object_bytes = 32 and users = 4 and touches = 200 in
+  let ram_bytes = objects * object_bytes / fraction in
+  let heap_bytes = ram_bytes + max ram_bytes (1 lsl 16) in
+  let path = temp_path () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; path ^ ".tmp" ])
+    (fun () ->
+      let store = Store.open_ path in
+      let sys =
+        Imax.System.boot
+          ~config:
+            {
+              Imax.System.default_config with
+              Imax.System.memory_manager = Imax.System.Swapping_lru;
+              heap_bytes;
+              memory_bytes = max (1 lsl 22) ((2 * heap_bytes) + (1 lsl 20));
+              swap_ram_bytes = Some ram_bytes;
+              swap_device = Some (Swap_store.device store);
+            }
+          ()
+      in
+      let m = Imax.System.machine sys in
+      let objs =
+        Array.init objects (fun i ->
+            let o =
+              Imax.System.mm_allocate sys ~data_length:object_bytes
+                ~access_length:0 ~otype:Obj_type.Generic
+            in
+            K.Machine.write_word m o ~offset:0 (i + 1);
+            o)
+      in
+      let corrupt = ref 0 and touched = ref 0 in
+      for u = 1 to users do
+        let prng = I432_util.Prng.create ~seed:(1009 + (u * 7919)) in
+        ignore
+          (K.Machine.spawn m ~name:(Printf.sprintf "user%d" u) (fun () ->
+               for _ = 1 to touches do
+                 let i = I432_util.Prng.int prng objects in
+                 (* A preemption between touch and read can let another
+                    user's fault-in evict the object again. *)
+                 let rec read_back () =
+                   Imax.System.mm_touch sys objs.(i);
+                   match K.Machine.read_word m objs.(i) ~offset:0 with
+                   | v -> v
+                   | exception Fault.Fault (Fault.Segment_swapped_out _) ->
+                     read_back ()
+                 in
+                 if read_back () <> i + 1 then incr corrupt;
+                 incr touched;
+                 K.Machine.compute m 4
+               done))
+      done;
+      ignore (Imax.System.run sys);
+      let resident = Option.get (Imax.System.mm_resident_bytes sys) in
+      Store.close store;
+      ( float_of_int (counter_value m "swap.faults") /. float_of_int !touched,
+        !corrupt,
+        resident,
+        ram_bytes ))
+
+let test_envelope_sweep () =
+  let points = List.map (fun fraction -> swap_point ~fraction) [ 2; 4; 8 ] in
+  List.iter
+    (fun (rate, corrupt, resident, ram_bytes) ->
+      let at = Printf.sprintf " (envelope %d B)" ram_bytes in
+      Alcotest.(check bool) ("faults per touch in (0, 1]" ^ at) true
+        (rate > 0.0 && rate <= 1.0);
+      Alcotest.(check int) ("no corrupt reads" ^ at) 0 corrupt;
+      Alcotest.(check bool) ("resident within envelope at halt" ^ at) true
+        (resident <= ram_bytes))
+    points;
+  let rates = List.map (fun (rate, _, _, _) -> rate) points in
+  Alcotest.(check bool)
+    (Printf.sprintf "fault rate nondecreasing as the envelope shrinks (%s)"
+       (String.concat ", " (List.map (Printf.sprintf "%.3f") rates)))
+    true
+    (rates = List.sort compare rates)
+
 let suite =
   [
     Alcotest.test_case "level-aware: high levels evict first" `Quick
@@ -446,4 +536,6 @@ let suite =
       test_dirty_eviction_rewrites;
     Alcotest.test_case "stale retained image is invalidated on reuse" `Quick
       test_stale_image_invalidated;
+    Alcotest.test_case "envelope sweep: shrinking RAM raises the fault rate"
+      `Quick test_envelope_sweep;
   ]
