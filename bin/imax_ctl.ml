@@ -499,15 +499,18 @@ let fresh_journal path =
    lose frames still halts cleanly.
 
    [kill = Some (name, kill_ns, restart_at)] stages the whole-node
-   failure story: run to the round boundary at or below [kill_ns],
-   checkpoint every node into a scratch journal, then arm a node-fault
-   plan that kills [name] at [kill_ns] and (when [restart_at] is set)
-   splices a checkpoint replay back in at the restart instant.  The
-   boot closure rebuilds the identical scenario, which is what makes
-   the replay — and therefore the rejoin — deterministic. *)
+   failure story with [Checkpoint.stage_node_failure]: checkpoint every
+   node into a scratch journal at the round boundary at or below
+   [kill_ns], kill [name] at [kill_ns] and (when [restart_at] is set)
+   splice a checkpoint replay back in at the restart instant.  The boot
+   closure rebuilds the identical scenario, which is what makes the
+   replay — and therefore the rejoin — deterministic.  Each boot's
+   printshop keeps its own [printed] list; the reported one belongs to
+   the printshop machine live at halt. *)
 let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     ~partitions ~latency ~kill =
   let quantum_ns = 200_000 in
+  let printed_by = ref [] in
   let boot () =
     let cluster = Net.Cluster.create ~default_latency_ns:latency () in
     let config =
@@ -546,9 +549,10 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     let queue =
       K.Machine.create_port mb ~capacity:8 ~discipline:K.Port.Fifo ()
     in
-    Net.Remote_port.export cluster ~node:node_b ~name:"printer"
+    Net.Cluster.export cluster ~node:node_b ~name:"printer"
       ~mask:Rights.read_only queue;
     let printed = ref [] in
+    printed_by := (mb, printed) :: !printed_by;
     ignore
       (K.Machine.spawn mb ~name:"printer" (fun () ->
            let quiet = ref 0 in
@@ -567,7 +571,7 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
     Array.iteri
       (fun i (id, ma) ->
         let surrogate =
-          Net.Remote_port.import cluster ~node:id ~name:"printer"
+          Net.Cluster.import cluster ~node:id ~name:"printer"
         in
         for u = 1 to clients do
           (* Users are numbered globally so every job's owner field is
@@ -591,9 +595,9 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
                  done))
         done)
       client_nodes;
-    (cluster, plan, printed)
+    (cluster, plan, node_b)
   in
-  let cluster, plan, printed = boot () in
+  let cluster, plan, printshop = boot () in
   let staged =
     match kill with
     | None -> None
@@ -615,52 +619,33 @@ let run_net ~processors ~nodes ~engine ~seed ~clients ~jobs ~link_faults
       | Some at when at <= kill_ns ->
         die "--restart-at %d: must come after the kill at %d ns" at kill_ns
       | _ -> ());
-      (* Phase A: advance to the last round boundary at or below the kill
-         instant and file every node's image.  The rejoin replays from
-         this checkpoint; work the victim did inside the final partial
-         round is rolled back and re-done after the restart (the
-         at-least-once seam DESIGN.md documents). *)
-      let r1 =
-        Net.Cluster.run cluster ~engine ~quantum_ns
-          ~max_rounds:(kill_ns / quantum_ns) ()
-      in
       let path = scratch_path "imax_net_ckpt.journal" in
       fresh_journal path;
       let store = St.open_ path in
-      ignore
-        (Ckpt.save_cluster store ~key:"net" ~rounds:r1.Net.Cluster.rounds
-           ~quantum_ns cluster);
-      let events =
-        { Fi.n_at_ns = kill_ns; n_node = victim; n_act = Fi.N_kill }
-        ::
-        (match restart_at with
-        | Some at ->
-          [ { Fi.n_at_ns = at; n_node = victim; n_act = Fi.N_restart } ]
-        | None -> [])
+      let nplan =
+        Ckpt.stage_node_failure store ~key:"net" ~engine ~quantum_ns ~seed
+          ~node:victim ~kill_ns ?restart_ns:restart_at
+          ~boot:(fun () ->
+            let c, _, _ = boot () in
+            c)
+          cluster
       in
-      let nplan = { Fi.n_seed = seed; n_events = events } in
-      Net.Cluster.arm_nodes cluster
-        ~restore:(fun ~node ~at_ns:_ ->
-          Ckpt.restore_node store ~key:"net" ~node
-            ~boot:(fun () ->
-              let c, _, _ = boot () in
-              c))
-        nplan;
       Some (store, nplan, victim)
   in
   (* Counters and the round/horizon clock are cumulative across resumed
-     runs, so this report covers phase A too. *)
+     runs, so this report covers the staged run to the checkpoint too. *)
   let report = Net.Cluster.run cluster ~engine ~quantum_ns () in
   let nplan =
-    match staged with
-    | None -> None
-    | Some (store, nplan, victim) ->
-      St.close store;
-      Some (nplan, victim)
+    Option.map
+      (fun (store, nplan, victim) ->
+        St.close store;
+        (nplan, victim))
+      staged
   in
   (* Re-fetch from the cluster: a restarted node's machine record was
      replaced by the checkpoint replay mid-run. *)
   let machines = Array.init nodes (Net.Cluster.machine cluster) in
+  let printed = List.assq machines.(printshop) !printed_by in
   (cluster, plan, nplan, report, List.rev !printed, machines)
 
 let scenario_net config nodes par seed clients jobs link_faults partitions
@@ -744,6 +729,15 @@ let scenario_net config nodes par seed clients jobs link_faults partitions
     then
       die "net --check: %d frame(s) lost with no fault plan armed"
         report.Net.Cluster.frames_lost;
+    (* Rejoin gate: on a healthy fabric a node that comes back loses no
+       job — the live printshop has printed every one submitted. *)
+    (match kill with
+    | Some (_, _, Some _) when Option.is_none plan ->
+      let submitted = (nodes - 1) * clients * jobs in
+      if List.length printed < submitted then
+        die "net --check: %d of %d jobs printed after the rejoin"
+          (List.length printed) submitted
+    | _ -> ());
     (* Same seed, fresh cluster, SEQUENTIAL engine: printed output and
        every node's event stream must be identical.  With --par this is
        the cross-engine gate — a parallel run proven byte-identical to

@@ -110,7 +110,6 @@ type t = {
   mutable current : Processor.t option;
   mutable in_body : bool;  (* true while a process body is executing *)
   mutable processes : Process.t list;  (* every process ever created *)
-  mutable live_user_processes : int;  (* non-daemon, non-terminal *)
   mutable gc_roots : Access.t list;
   obs : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
@@ -118,7 +117,6 @@ type t = {
   mutable preemptions : int;
   mutable faults : (string * Fault.cause) list;  (* newest first; see [faults] *)
   mutable fault_port : int option;  (* faulted processes are sent here *)
-  mutable halted : bool;
   (* Fault injection and recovery state.  All defaults leave every legacy
      path untouched: empty plan, zero counters, no hooks. *)
   mutable injections : (int * int * injection) list;  (* (at_ns, seq, _) sorted *)
@@ -207,7 +205,6 @@ let create ?(config = default_config) () =
     current = None;
     in_body = false;
     processes = [];
-    live_user_processes = 0;
     gc_roots = [];
     obs =
       Obs.Tracer.create ~capacity:config.trace_capacity
@@ -217,7 +214,6 @@ let create ?(config = default_config) () =
     preemptions = 0;
     faults = [];
     fault_port = None;
-    halted = false;
     injections = [];
     inj_seq = 0;
     forced_alloc_faults = 0;
@@ -797,7 +793,6 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
   proc.Process.trace_name_id <- Obs.Tracer.string_id t.obs name;
   e.Object_table.payload <- Some (Process.Process_state proc);
   t.processes <- proc :: t.processes;
-  if not daemon then t.live_user_processes <- t.live_user_processes + 1;
   Obs.Metrics.incr t.mon.mon_spawns;
   emit t ~name ~a:proc.Process.index Obs.Event.Spawn;
   (match start_after with
@@ -1010,8 +1005,6 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     proc.Process.code <- Process.Terminated;
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_exit;
     cpu.Processor.current <- None;
-    if not proc.Process.daemon then
-      t.live_user_processes <- t.live_user_processes - 1;
     false
   | Syscall.Delay ns ->
     if ns < 0 then invalid_arg "delay: negative";
@@ -1222,8 +1215,6 @@ let record_fault t (proc : Process.t) cause =
     Obs.Event.Fault;
   proc.Process.status <- Process.Faulted cause;
   proc.Process.code <- Process.Terminated;
-  if not proc.Process.daemon then
-    t.live_user_processes <- t.live_user_processes - 1;
   if proc.Process.system_level < 3 then
     raise
       (Kernel_panic
@@ -1258,8 +1249,6 @@ let step_process t (cpu : Processor.t) =
     | Process.Completed ->
       proc.Process.status <- Process.Finished;
       cpu.Processor.current <- None;
-      if not proc.Process.daemon then
-        t.live_user_processes <- t.live_user_processes - 1;
       emit_fast_on t cpu ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_finish
     | Process.Raised (Fault.Fault cause) ->
       cpu.Processor.current <- None;
@@ -1478,7 +1467,6 @@ let runnable_somewhere t =
        t.processes
 
 let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
-  t.halted <- false;
   let steps = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -1596,7 +1584,6 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
       end
     end
   done;
-  t.halted <- true;
   let completed =
     List.length
       (List.filter

@@ -31,7 +31,6 @@
 module K = I432_kernel
 module Obs = I432_obs
 module Net = I432_net
-module Fi = I432_fi.Fi
 
 (* Typed-port instance carrying raw access descriptors (paper Figure 2);
    the single-machine harness issues every request through it. *)
@@ -288,6 +287,7 @@ let port_name = "loadgen"
 type chaos = {
   c_kill_after_rounds : int;  (* checkpoint + kill at this round boundary *)
   c_outage_ns : int;  (* restart the server this long after the kill *)
+  c_store : I432_store.Store.t;  (* where the checkpoint is filed *)
 }
 
 (* [nodes] total machines: node 0 serves, nodes 1.. issue.  Users are
@@ -300,13 +300,14 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
     ?(engine = Net.Cluster.Seq) ?(trace_level = Obs.Tracer.Off) ?chaos ~spec
     () =
   if nodes < 2 then invalid_arg "Loadgen.run_cluster: nodes";
-  if chaos <> None && trace_level = Obs.Tracer.Off then
-    invalid_arg "Loadgen.run_cluster: chaos needs trace_level Events";
   let workers = if workers > 0 then workers else 2 * processors in
   let clients = nodes - 1 in
   let reqs = Arrival.generate spec in
   let total = Array.length reqs in
   let quantum_ns = 100_000 in
+  (* Each boot's server keeps its own retirement ref; a chaos rejoin
+     splices in a replayed server from a later boot. *)
+  let last_done_by = ref [] in
   let boot () =
     (* A wide window keeps the interconnect itself from throttling the
        offered load: above-knee sweep points must overload the server's
@@ -340,6 +341,7 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
     let poison = boot_poison server in
     let remaining = ref total in
     let last_done_ns = ref 0 in
+    last_done_by := (server, last_done_ns) :: !last_done_by;
     ignore
       (spawn_workers server ~workers ~recorder ~remaining ~last_done_ns
          ~recv:(fun () -> K.Machine.receive server ~port:prt)
@@ -363,75 +365,28 @@ let run_cluster ?(nodes = 2) ?(processors = 2) ?(workers = 0) ?(pumps = 2)
           (spawn_pumps m ~label:"pump" ~pumps ~reqs:mine ~msgs ~issued
              ~send_msg:(fun msg -> K.Machine.send m ~port:surrogate ~msg)))
       client_ms;
-    (cl, last_done_ns)
+    cl
   in
-  let cl, last_done_ns = boot () in
+  let cl = boot () in
   let staged =
     match chaos with
-    | None ->
-      ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
-      None
-    | Some { c_kill_after_rounds; c_outage_ns } ->
-      (* Phase A: advance to the checkpoint boundary and capture every
-         node's state image — the in-memory form of a cluster checkpoint
-         (same record, same verification; imax_ctl's path goes through
-         the journal). *)
-      let r1 =
-        Net.Cluster.run cl ~engine ~quantum_ns
-          ~max_rounds:c_kill_after_rounds ()
-      in
-      let rounds = r1.Net.Cluster.rounds in
-      let images =
-        Array.init nodes (fun i ->
-            K.Snapshot.state_image (Net.Cluster.machine cl i))
-      in
-      let kill_at = r1.Net.Cluster.horizon_ns in
+    | None -> None
+    | Some { c_kill_after_rounds; c_outage_ns; c_store } ->
+      let kill_at = c_kill_after_rounds * quantum_ns in
       let restart_at = kill_at + c_outage_ns in
-      let restore ~node ~at_ns:_ =
-        (* Checkpoint rejoin by replay: re-boot the identical scenario,
-           replay the recorded rounds on the sequential engine, verify
-           the target node's image byte-for-byte. *)
-        let shadow, _ = boot () in
-        if rounds > 0 then
-          ignore (Net.Cluster.run shadow ~quantum_ns ~max_rounds:rounds ());
-        let m = Net.Cluster.machine shadow node in
-        if not (String.equal (K.Snapshot.state_image m) images.(node)) then
-          failwith "Loadgen chaos: checkpoint replay diverged";
-        m
-      in
-      Net.Cluster.arm_nodes cl ~restore
-        {
-          Fi.n_seed = spec.Arrival.seed;
-          n_events =
-            [
-              { Fi.n_at_ns = kill_at; n_node = 0; n_act = Fi.N_kill };
-              { Fi.n_at_ns = restart_at; n_node = 0; n_act = Fi.N_restart };
-            ];
-        };
-      ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
+      ignore
+        (I432_store.Checkpoint.stage_node_failure c_store ~key:"loadgen"
+           ~engine ~quantum_ns ~seed:spec.Arrival.seed ~node:0
+           ~kill_ns:kill_at ~restart_ns:restart_at ~boot cl);
       Some (kill_at, restart_at)
   in
+  ignore (Net.Cluster.run cl ~engine ~quantum_ns ());
   (* Re-fetch from the cluster: with chaos the server machine was replaced
      by its checkpoint replay mid-run. *)
   let machines =
     List.init nodes (fun i ->
         (Net.Cluster.node_name cl i, Net.Cluster.machine cl i))
   in
-  let last_done_ns =
-    match staged with
-    | None -> !last_done_ns
-    | Some _ ->
-      (* The boot closure's ref died with the killed server incarnation;
-         read the retirement instants back off the spliced machine's
-         Req_done events instead. *)
-      List.fold_left
-        (fun acc (_, m) ->
-          List.fold_left
-            (fun acc (e : Obs.Event.t) ->
-              if e.Obs.Event.kind = Obs.Event.Req_done then
-                max acc e.Obs.Event.ts_ns
-              else acc)
-            acc (K.Machine.events m))
-        0 machines
-  in
-  outcome ?chaos:staged ~spec ~reqs ~machines ~last_done_ns ~deadlocked:0 ()
+  let last_done_ns = List.assq (Net.Cluster.machine cl 0) !last_done_by in
+  outcome ?chaos:staged ~spec ~reqs ~machines ~last_done_ns:!last_done_ns
+    ~deadlocked:0 ()

@@ -38,8 +38,9 @@ val run_machine :
   outcome
 
 (** Whole-node failure staged under load: checkpoint at the given round
-    boundary (100 us rounds), kill the serving node exactly there, and
-    splice a verified checkpoint replay back in [c_outage_ns] later.
+    boundary (100 us rounds) into [c_store], kill the serving node
+    exactly there, and splice a verified checkpoint replay back in
+    [c_outage_ns] later ({!I432_store.Checkpoint.stage_node_failure}).
     Because the kill lands on the checkpoint horizon, the rollback
     window is empty: no completion is lost or double-counted, and every
     in-flight request rides ARQ retransmission across the outage (keep
@@ -47,6 +48,7 @@ val run_machine :
 type chaos = {
   c_kill_after_rounds : int;  (** checkpoint + kill at this round boundary *)
   c_outage_ns : int;  (** restart the server this long after the kill *)
+  c_store : I432_store.Store.t;  (** where the checkpoint is filed *)
 }
 
 (** Run the harness on a [nodes]-machine cluster: node 0 serves, the
@@ -54,9 +56,8 @@ type chaos = {
     crosses the virtual interconnect.  [pumps] is per client node;
     [engine] selects the sequential or parallel cluster engine (runs are
     byte-identical either way).  [chaos] stages the kill/rejoin of the
-    serving node and requires [trace_level] at least [Events] (phase
-    stats and retirement instants come off the event stream).  Raises
-    [Invalid_argument] when [nodes < 2]. *)
+    serving node; the outcome then reads the rejoined server's
+    retirement instants.  Raises [Invalid_argument] when [nodes < 2]. *)
 val run_cluster :
   ?nodes:int ->
   ?processors:int ->

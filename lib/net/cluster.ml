@@ -659,8 +659,6 @@ let kill_now t id ~at =
 
 let restart_now t id ~at ~machine =
   let n = node_of t id in
-  if n.n_alive then
-    invalid_arg (Printf.sprintf "Cluster.restart_node: node %d is alive" id);
   let fresh =
     mk_node ~id ~name:n.node_name ~alive:true ~down_since:n.n_down_since
       ~up_since:at machine
@@ -679,14 +677,6 @@ let restart_now t id ~at ~machine =
   emit fresh ~ts_ns:at ~name:fresh.node_name ~a:id
     ~b:(Name_service.epoch t.ns) Obs.Event.Node_restart;
   Obs.Metrics.incr fresh.m_restarts
-
-let fail_node t ?at_ns id =
-  let at = match at_ns with Some a -> a | None -> t.cur_horizon in
-  kill_now t id ~at
-
-let restart_node t ?at_ns ~machine id =
-  let at = match at_ns with Some a -> a | None -> t.cur_horizon in
-  restart_now t id ~at ~machine
 
 let node_alive t id = (node_of t id).n_alive
 let dead_letters t = t.dead_letters
@@ -867,7 +857,7 @@ let run_engine t ~pool ~quantum_ns ~max_rounds =
     dead_letters = t.dead_letters;
   }
 
-let run t ?(engine = Seq) ?(quantum_ns = 100_000) ?(max_rounds = 100_000) () =
+let run t ?(engine = Seq) ?(quantum_ns = 100_000) ?(max_rounds = max_int) () =
   if quantum_ns < 1 then invalid_arg "Cluster.run: quantum_ns";
   match engine with
   | Seq | Par 1 ->

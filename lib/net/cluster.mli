@@ -111,20 +111,9 @@ val arm_links : t -> Fi.link_plan -> unit
     kill and republished under a bumped {!Name_service} epoch at the
     restart; survivors keep their surrogate descriptors, which stay
     valid because the replacement machine is a checkpoint replay with a
-    byte-identical object-table layout.  See DESIGN.md §13. *)
-
-(** Kill [id] at [at_ns] (default: the current horizon).  The victim
-    executes exactly up to the kill instant.  Idempotent on a dead
-    node. *)
-val fail_node : t -> ?at_ns:int -> int -> unit
-
-(** Splice a replacement machine in for dead node [id] at [at_ns]
-    (default: the current horizon).  [machine] must be a replay of the
-    node's checkpoint (see {!I432_store.Checkpoint.restore_node});
-    its clocks are advanced to the restart instant and the node's names
-    are republished under a bumped epoch.  Raises [Invalid_argument] if
-    the node is alive. *)
-val restart_node : t -> ?at_ns:int -> machine:K.Machine.t -> int -> unit
+    byte-identical object-table layout.  Nodes die and rejoin only
+    through a plan armed with {!arm_nodes}; see
+    {!I432_store.Checkpoint.stage_node_failure} and DESIGN.md §13. *)
 
 val node_alive : t -> int -> bool
 
@@ -147,6 +136,23 @@ val arm_nodes :
 
 exception Not_exported of string
 exception No_route of string
+
+(** {1 Network-transparent ports}
+
+    Exporting gives a port a cluster-wide name; importing installs a
+    local {e surrogate} port on the importing node.  Local processes use
+    the ordinary port syscalls against the surrogate — blocking,
+    timeouts and priority ordering behave exactly as against a local
+    port — while the NIC pump moves the messages to the home port.
+
+    Deliberately {e not} transparent (DESIGN.md §9): receiving from a
+    surrogate (the t2 right stays home — service order of a remote
+    queue is the home node's business), level/lifetime rules (a
+    marshalled graph is reconstructed at the destination's global-heap
+    level; lifetime containment stops at the node boundary), and object
+    identity (the destination sees an isomorphic copy, not the sender's
+    object).  Exported names are listed and resolved through
+    {!name_service}. *)
 
 (** Publish [port] (which must carry the send right) cluster-wide under
     [name].  [mask] is intersected into every marshalled rights set —
@@ -190,7 +196,8 @@ type report = {
 type engine = Seq | Par of int
 
 (** Advance the cluster until every machine is quiescent and no frame is
-    in flight, unacked, or backlogged (or [max_rounds] elapses).  Each
+    in flight, unacked, or backlogged, or after [max_rounds] rounds when
+    given (default: no cap — the loop ends only on quiescence).  Each
     round steps every machine [quantum_ns] of virtual time, then pumps
     the interconnect.
 

@@ -79,63 +79,6 @@ type t = {
   b : int;
 }
 
-let kind_to_string = function
-  | Spawn -> "spawn"
-  | Exit -> "exit"
-  | Finish -> "finish"
-  | Fault -> "fault"
-  | Ready -> "ready"
-  | Dispatch -> "dispatch"
-  | Preempt -> "preempt"
-  | Yield -> "yield"
-  | Deschedule -> "deschedule"
-  | Block_send -> "block-send"
-  | Block_receive -> "block-receive"
-  | Sleep -> "sleep"
-  | Wake -> "wake"
-  | Send -> "send"
-  | Receive -> "receive"
-  | Allocate -> "allocate"
-  | Release -> "release"
-  | Sro_create -> "sro-create"
-  | Sro_destroy -> "sro-destroy"
-  | Domain_call -> "domain-call"
-  | Domain_return -> "domain-return"
-  | Stop -> "stop"
-  | Start -> "start"
-  | Gc_mark_begin -> "gc-mark-begin"
-  | Gc_mark_end -> "gc-mark-end"
-  | Gc_sweep_begin -> "gc-sweep-begin"
-  | Gc_sweep_end -> "gc-sweep-end"
-  | Fi_inject -> "fi-inject"
-  | Cpu_offline -> "cpu-offline"
-  | Proc_requeued -> "proc-requeued"
-  | Alloc_retry -> "alloc-retry"
-  | Timeout_fired -> "timeout-fired"
-  | Proc_restarted -> "proc-restarted"
-  | Remote_send -> "remote-send"
-  | Remote_deliver -> "remote-deliver"
-  | Frame_tx -> "frame-tx"
-  | Frame_rx -> "frame-rx"
-  | Journal_append -> "journal-append"
-  | Journal_sync -> "journal-sync"
-  | Store_compact -> "store-compact"
-  | Ckpt_save -> "ckpt-save"
-  | Ckpt_restore -> "ckpt-restore"
-  | Req_issue -> "req-issue"
-  | Req_done -> "req-done"
-  | Node_kill -> "node-kill"
-  | Node_restart -> "node-restart"
-  | Frame_dead -> "frame-dead"
-  | Dead_letter -> "dead-letter"
-  | Swap_out -> "swap-out"
-  | Swap_in -> "swap-in"
-  | Swap_fault -> "swap-fault"
-  | Txn_commit -> "txn-commit"
-  | Txn_abort -> "txn-abort"
-  | Txn_dup_drop -> "txn-dup-drop"
-  | Hist_append -> "hist-append"
-
 (* Dense integer codes, for storing kinds in the tracer's packed int
    rings.  [kind_of_int] is the inverse on [0 .. kind_count - 1]. *)
 let kind_to_int = function
@@ -195,65 +138,42 @@ let kind_to_int = function
   | Txn_dup_drop -> 53
   | Hist_append -> 54
 
-let kind_count = 55
+(* Every kind with its printed name, in declaration order:
+   [fst all.(kind_to_int k) = k]. *)
+let all =
+  [| (Spawn, "spawn"); (Exit, "exit"); (Finish, "finish"); (Fault, "fault");
+    (Ready, "ready"); (Dispatch, "dispatch"); (Preempt, "preempt");
+    (Yield, "yield"); (Deschedule, "deschedule"); (Block_send, "block-send");
+    (Block_receive, "block-receive"); (Sleep, "sleep"); (Wake, "wake");
+    (Send, "send"); (Receive, "receive"); (Allocate, "allocate");
+    (Release, "release"); (Sro_create, "sro-create");
+    (Sro_destroy, "sro-destroy"); (Domain_call, "domain-call");
+    (Domain_return, "domain-return"); (Stop, "stop"); (Start, "start");
+    (Gc_mark_begin, "gc-mark-begin"); (Gc_mark_end, "gc-mark-end");
+    (Gc_sweep_begin, "gc-sweep-begin"); (Gc_sweep_end, "gc-sweep-end");
+    (Fi_inject, "fi-inject"); (Cpu_offline, "cpu-offline");
+    (Proc_requeued, "proc-requeued"); (Alloc_retry, "alloc-retry");
+    (Timeout_fired, "timeout-fired"); (Proc_restarted, "proc-restarted");
+    (Remote_send, "remote-send"); (Remote_deliver, "remote-deliver");
+    (Frame_tx, "frame-tx"); (Frame_rx, "frame-rx");
+    (Journal_append, "journal-append"); (Journal_sync, "journal-sync");
+    (Store_compact, "store-compact"); (Ckpt_save, "ckpt-save");
+    (Ckpt_restore, "ckpt-restore"); (Req_issue, "req-issue");
+    (Req_done, "req-done"); (Node_kill, "node-kill");
+    (Node_restart, "node-restart"); (Frame_dead, "frame-dead");
+    (Dead_letter, "dead-letter"); (Swap_out, "swap-out");
+    (Swap_in, "swap-in"); (Swap_fault, "swap-fault");
+    (Txn_commit, "txn-commit"); (Txn_abort, "txn-abort");
+    (Txn_dup_drop, "txn-dup-drop"); (Hist_append, "hist-append")
+  |]
 
-let kind_of_int = function
-  | 0 -> Spawn
-  | 1 -> Exit
-  | 2 -> Finish
-  | 3 -> Fault
-  | 4 -> Ready
-  | 5 -> Dispatch
-  | 6 -> Preempt
-  | 7 -> Yield
-  | 8 -> Deschedule
-  | 9 -> Block_send
-  | 10 -> Block_receive
-  | 11 -> Sleep
-  | 12 -> Wake
-  | 13 -> Send
-  | 14 -> Receive
-  | 15 -> Allocate
-  | 16 -> Release
-  | 17 -> Sro_create
-  | 18 -> Sro_destroy
-  | 19 -> Domain_call
-  | 20 -> Domain_return
-  | 21 -> Stop
-  | 22 -> Start
-  | 23 -> Gc_mark_begin
-  | 24 -> Gc_mark_end
-  | 25 -> Gc_sweep_begin
-  | 26 -> Gc_sweep_end
-  | 27 -> Fi_inject
-  | 28 -> Cpu_offline
-  | 29 -> Proc_requeued
-  | 30 -> Alloc_retry
-  | 31 -> Timeout_fired
-  | 32 -> Proc_restarted
-  | 33 -> Remote_send
-  | 34 -> Remote_deliver
-  | 35 -> Frame_tx
-  | 36 -> Frame_rx
-  | 37 -> Journal_append
-  | 38 -> Journal_sync
-  | 39 -> Store_compact
-  | 40 -> Ckpt_save
-  | 41 -> Ckpt_restore
-  | 42 -> Req_issue
-  | 43 -> Req_done
-  | 44 -> Node_kill
-  | 45 -> Node_restart
-  | 46 -> Frame_dead
-  | 47 -> Dead_letter
-  | 48 -> Swap_out
-  | 49 -> Swap_in
-  | 50 -> Swap_fault
-  | 51 -> Txn_commit
-  | 52 -> Txn_abort
-  | 53 -> Txn_dup_drop
-  | 54 -> Hist_append
-  | n -> invalid_arg (Printf.sprintf "Event.kind_of_int: %d" n)
+let kind_count = Array.length all
+let kind_to_string k = snd all.(kind_to_int k)
+
+let kind_of_int n =
+  if n < 0 || n >= kind_count then
+    invalid_arg (Printf.sprintf "Event.kind_of_int: %d" n)
+  else fst all.(n)
 
 (* Subsystem, used as the Chrome trace category. *)
 let category = function

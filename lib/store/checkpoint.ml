@@ -5,6 +5,7 @@
 module K = I432_kernel
 module Net = I432_net
 module Obs = I432_obs
+module Fi = I432_fi.Fi
 module Filing = Imax.Object_filing
 
 type bound =
@@ -20,6 +21,8 @@ type record = {
 }
 
 exception Restore_mismatch of string
+
+let mismatch fmt = Printf.ksprintf (fun s -> raise (Restore_mismatch s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Record codec (little-endian, length-prefixed)                       *)
@@ -56,9 +59,7 @@ let encode r =
 let decode ~key bytes =
   let pos = ref 0 in
   let len = Bytes.length bytes in
-  let corrupt what =
-    raise (Restore_mismatch (Printf.sprintf "corrupt checkpoint record: %s" what))
-  in
+  let corrupt what = mismatch "corrupt checkpoint record: %s" what in
   let u8 what =
     if !pos >= len then corrupt what;
     let v = Char.code (Bytes.get bytes !pos) in
@@ -195,22 +196,16 @@ let first_divergence ~stored ~replayed =
 let verify_node ~key ~name ~stored machine =
   let replayed = K.Snapshot.state_image machine in
   if not (String.equal stored replayed) then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S%s: %s" key
-            (if name = "" then "" else Printf.sprintf " node %S" name)
-            (first_divergence ~stored ~replayed)))
+    mismatch "checkpoint %S%s: %s" key
+      (if name = "" then "" else Printf.sprintf " node %S" name)
+      (first_divergence ~stored ~replayed)
 
 let restore store ~key ~boot =
   let r = require store ~key in
   let stored =
     match r.c_nodes with
     | [ ("", image) ] -> image
-    | _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a cluster; use restore_cluster"
-              key))
+    | _ -> mismatch "checkpoint %S holds a cluster; use restore_cluster" key
   in
   let machine = boot () in
   (match r.c_bound with
@@ -221,77 +216,82 @@ let restore store ~key ~boot =
   emit store Obs.Event.Ckpt_restore r;
   machine
 
-(* One node out of a cluster checkpoint, for splicing back into a LIVE
-   cluster (Cluster.restart_node).  The whole shadow cluster replays —
-   the node's state depends on every frame it exchanged — but only the
-   target node's image is verified and only its machine survives; the
-   rest of the shadow is garbage once this returns. *)
-let restore_node store ~key ~node ~boot =
-  let r = require store ~key in
-  let rounds, quantum_ns =
-    match r.c_bound with
-    | Rounds { rounds; quantum_ns } -> (rounds, quantum_ns)
-    | Steps _ | Virtual_ns _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a single machine; use restore"
-              key))
-  in
-  if node < 0 || node >= List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S has no node %d (stored %d)" key node
-            (List.length r.c_nodes)));
-  let shadow = boot () in
-  if rounds > 0 then
-    ignore (Net.Cluster.run shadow ~quantum_ns ~max_rounds:rounds ());
-  if Net.Cluster.node_count shadow <> List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: %d nodes stored, boot built %d" key
-            (List.length r.c_nodes)
-            (Net.Cluster.node_count shadow)));
-  let name, stored = List.nth r.c_nodes node in
-  let booted = Net.Cluster.node_name shadow node in
-  if not (String.equal name booted) then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: node %d is %S, boot built %S" key node
-            name booted));
-  let machine = Net.Cluster.machine shadow node in
-  verify_node ~key ~name ~stored machine;
-  emit store Obs.Event.Ckpt_restore r;
-  machine
-
 let restore_cluster store ~key ~boot =
   let r = require store ~key in
   let rounds, quantum_ns =
     match r.c_bound with
     | Rounds { rounds; quantum_ns } -> (rounds, quantum_ns)
     | Steps _ | Virtual_ns _ ->
-      raise
-        (Restore_mismatch
-           (Printf.sprintf "checkpoint %S holds a single machine; use restore"
-              key))
+      mismatch "checkpoint %S holds a single machine; use restore" key
   in
   let cluster = boot () in
   if rounds > 0 then
     ignore (Net.Cluster.run cluster ~quantum_ns ~max_rounds:rounds ());
   if Net.Cluster.node_count cluster <> List.length r.c_nodes then
-    raise
-      (Restore_mismatch
-         (Printf.sprintf "checkpoint %S: %d nodes stored, boot built %d" key
-            (List.length r.c_nodes)
-            (Net.Cluster.node_count cluster)));
+    mismatch "checkpoint %S: %d nodes stored, boot built %d" key
+      (List.length r.c_nodes)
+      (Net.Cluster.node_count cluster);
   List.iteri
     (fun i (name, stored) ->
       let booted = Net.Cluster.node_name cluster i in
       if not (String.equal name booted) then
-        raise
-          (Restore_mismatch
-             (Printf.sprintf "checkpoint %S: node %d is %S, boot built %S" key
-                i name booted));
+        mismatch "checkpoint %S: node %d is %S, boot built %S" key i name
+          booted;
       verify_node ~key ~name ~stored (Net.Cluster.machine cluster i))
     r.c_nodes;
   emit store Obs.Event.Ckpt_restore r;
   cluster
+
+(* One node out of a cluster checkpoint, for splicing back into a LIVE
+   cluster at a node-plan restart.  The whole shadow cluster replays —
+   the node's state depends on every frame it exchanged — and is
+   verified like any cluster restore; only the target node's machine
+   survives, the rest of the shadow is garbage once this returns. *)
+let restore_node store ~key ~node ~boot =
+  let shadow = restore_cluster store ~key ~boot in
+  if node < 0 || node >= Net.Cluster.node_count shadow then
+    mismatch "checkpoint %S has no node %d (stored %d)" key node
+      (Net.Cluster.node_count shadow);
+  Net.Cluster.machine shadow node
+
+(* ------------------------------------------------------------------ *)
+(* Staging a whole-node failure                                        *)
+(* ------------------------------------------------------------------ *)
+
+let stage_node_failure store ~key ?(engine = Net.Cluster.Seq) ~quantum_ns
+    ?ckpt_ns ~seed ~node ~kill_ns ?restart_ns ~boot cluster =
+  let ckpt_ns = Option.value ckpt_ns ~default:kill_ns in
+  if kill_ns < quantum_ns then
+    invalid_arg "Checkpoint.stage_node_failure: kill before the first round";
+  if ckpt_ns > kill_ns then
+    invalid_arg "Checkpoint.stage_node_failure: checkpoint after the kill";
+  (match restart_ns with
+  | Some at when at <= kill_ns ->
+    invalid_arg "Checkpoint.stage_node_failure: restart before the kill"
+  | _ -> ());
+  (* Advance to the last round boundary at or below the checkpoint
+     instant and file every node's image; the rejoin replays from here.
+     Work the victim did between that boundary and the kill is rolled
+     back and re-done after the restart (the at-least-once seam). *)
+  let r =
+    Net.Cluster.run cluster ~engine ~quantum_ns
+      ~max_rounds:(ckpt_ns / quantum_ns) ()
+  in
+  ignore
+    (save_cluster store ~key ~rounds:r.Net.Cluster.rounds ~quantum_ns cluster);
+  let event n_at_ns n_act = { Fi.n_at_ns; n_node = node; n_act } in
+  let plan =
+    {
+      Fi.n_seed = seed;
+      n_events =
+        event kill_ns Fi.N_kill
+        ::
+        (match restart_ns with
+        | Some ns -> [ event ns Fi.N_restart ]
+        | None -> []);
+    }
+  in
+  Net.Cluster.arm_nodes cluster
+    ~restore:(fun ~node ~at_ns:_ -> restore_node store ~key ~node ~boot)
+    plan;
+  plan

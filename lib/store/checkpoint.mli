@@ -65,16 +65,40 @@ val restore_cluster :
   Store.t -> key:string -> boot:(unit -> Net.Cluster.t) -> Net.Cluster.t
 
 (** Restore one node of a cluster checkpoint, for splicing into a
-    {e running} cluster with {!Net.Cluster.restart_node}: boots a shadow
-    cluster, replays the recorded rounds, verifies the target node's
-    image, and returns just that machine.  The verified machine's
-    object-table layout is byte-identical to the dead incarnation's at
-    the checkpoint, so descriptors cached by survivors (home ports,
-    name-service entries) remain valid against it.  Raises
-    [Restore_mismatch] on divergence, an unknown node index, or a
-    non-cluster checkpoint. *)
+    {e running} cluster at a node-plan restart: [restore_cluster], then
+    that node's machine.  The verified machine's object-table layout is
+    byte-identical to the dead incarnation's at the checkpoint, so
+    descriptors cached by survivors (home ports, name-service entries)
+    remain valid against it.  Raises [Restore_mismatch] on divergence of
+    any node, an unknown node index, or a non-cluster checkpoint. *)
 val restore_node :
   Store.t -> key:string -> node:int -> boot:(unit -> Net.Cluster.t) -> K.Machine.t
+
+(** Stage a whole-node failure on [cluster], which [boot] built and
+    which has not run yet (its round grid starts at 0): run it on
+    [engine] (default [Seq]) to the last [quantum_ns] round boundary at
+    or below [ckpt_ns] (default [kill_ns]), file every node's image
+    under [key] with {!save_cluster}, then arm a node plan that kills
+    [node] at [kill_ns] and, given [restart_ns], splices
+    [restore_node ~boot] back in at that instant.  The caller resumes
+    with [Net.Cluster.run] (same [quantum_ns]).  A checkpoint earlier
+    than the kill leaves a rollback window the rejoin re-executes.
+    Returns the armed plan.  Raises [Invalid_argument] when the kill
+    precedes the first round boundary, the checkpoint follows the kill,
+    or the restart does not follow it. *)
+val stage_node_failure :
+  Store.t ->
+  key:string ->
+  ?engine:Net.Cluster.engine ->
+  quantum_ns:int ->
+  ?ckpt_ns:int ->
+  seed:int ->
+  node:int ->
+  kill_ns:int ->
+  ?restart_ns:int ->
+  boot:(unit -> Net.Cluster.t) ->
+  Net.Cluster.t ->
+  I432_fi.Fi.node_plan
 
 (** The decoded checkpoint record under [key], if any. *)
 val load : Store.t -> key:string -> record option

@@ -288,6 +288,36 @@ let test_cluster_overload_drains () =
   Alcotest.(check int) "all requests served under overload"
     (Load.Arrival.total s) o.Load.Loadgen.o_completed
 
+(* A schedule longer than 10 s virtual (100 000 rounds of 100 us): the
+   cluster round loop has no default cap, so it serves every request, as
+   the single-machine harness does. *)
+let test_cluster_long_schedule_completes () =
+  let s = spec ~seed:3 ~users:2 ~sessions:1 ~requests:12 ~rate:1.5 () in
+  let horizon = Load.Arrival.horizon_ns (Load.Arrival.generate s) in
+  Alcotest.(check bool) "schedule outlasts 10 s virtual" true
+    (horizon > 10_000_000_000);
+  let o =
+    Load.Loadgen.run_cluster ~nodes:2 ~engine:Net.Cluster.Seq ~spec:s ()
+  in
+  let m = Load.Loadgen.run_machine ~spec:s () in
+  Alcotest.(check int) "machine completes all" (Load.Arrival.total s)
+    m.Load.Loadgen.o_completed;
+  Alcotest.(check int) "cluster completes all" (Load.Arrival.total s)
+    o.Load.Loadgen.o_completed
+
+(* A checkpoint store on a fresh temporary journal, removed afterwards. *)
+let with_ckpt_store f =
+  let path = Filename.temp_file "imax_loadgen_ckpt" ".journal" in
+  Sys.remove path;
+  let store = I432_store.Store.open_ path in
+  Fun.protect
+    ~finally:(fun () ->
+      I432_store.Store.close store;
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; path ^ ".tmp" ])
+    (fun () -> f store)
+
 (* Whole-node failure under serving load: kill the serving node at ~40%
    of the schedule horizon and splice its checkpoint replay back in an
    eighth of the horizon later.  The outage overlaps the arrival stream
@@ -299,22 +329,28 @@ let test_cluster_chaos_kill_rejoin () =
   let reqs = Load.Arrival.generate s in
   let horizon = Load.Arrival.horizon_ns reqs in
   let quantum = 100_000 in
-  let chaos =
-    {
-      Load.Loadgen.c_kill_after_rounds = max 1 (horizon * 2 / 5 / quantum);
-      c_outage_ns = max (10 * quantum) (horizon / 8);
-    }
-  in
-  let run () =
-    Load.Loadgen.run_cluster ~nodes:3 ~processors:2 ~engine:Net.Cluster.Seq
-      ~trace_level:Obs.Tracer.Events ~chaos ~spec:s ()
+  let a, b =
+    with_ckpt_store (fun store ->
+        let chaos =
+          {
+            Load.Loadgen.c_kill_after_rounds =
+              max 1 (horizon * 2 / 5 / quantum);
+            c_outage_ns = max (10 * quantum) (horizon / 8);
+            c_store = store;
+          }
+        in
+        let run () =
+          Load.Loadgen.run_cluster ~nodes:3 ~processors:2
+            ~engine:Net.Cluster.Seq ~trace_level:Obs.Tracer.Events ~chaos
+            ~spec:s ()
+        in
+        (run (), run ()))
   in
   let streams (o : Load.Loadgen.outcome) =
     ( Load.Arrival.render o.Load.Loadgen.o_requests,
       Load.Loadgen.span_stream o,
       Obs.Metrics.render o.Load.Loadgen.o_metrics )
   in
-  let a = run () and b = run () in
   Alcotest.(check int) "every request completed" (Load.Arrival.total s)
     a.Load.Loadgen.o_completed;
   let restarts =
@@ -353,5 +389,7 @@ let suite =
     ("cluster completes all", `Quick, test_cluster_completes_all);
     QCheck_alcotest.to_alcotest prop_cluster_par_equals_seq;
     ("cluster overload drains", `Quick, test_cluster_overload_drains);
+    ("cluster long schedule completes", `Quick,
+      test_cluster_long_schedule_completes);
     ("cluster chaos kill/rejoin", `Quick, test_cluster_chaos_kill_rejoin);
   ]

@@ -383,10 +383,14 @@ let test_name_service_errors () =
      ignore (Net.Cluster.import cluster ~node:c ~name:"svc");
      Alcotest.fail "expected No_route"
    with Net.Cluster.No_route _ -> ());
+  let ns = Net.Cluster.name_service cluster in
   Alcotest.(check (list string)) "names sorted" [ "svc" ]
-    (Net.Remote_port.names cluster);
+    (Net.Name_service.names ns);
   Alcotest.(check (option (pair int int))) "resolve" (Some (b, 2))
-    (Net.Remote_port.resolve cluster "svc");
+    (Option.map
+       (fun (e : Net.Name_service.entry) ->
+         (e.Net.Name_service.e_node, e.Net.Name_service.e_capacity))
+       (Net.Name_service.lookup ns "svc"));
   ignore a
 
 let test_surrogate_is_send_only () =
@@ -731,30 +735,15 @@ let rejoin_staged ~quantum_ns k =
         [ path; path ^ ".tmp" ])
     (fun () ->
       let cluster = rejoin_boot () in
-      let r1 = Net.Cluster.run cluster ~quantum_ns ~max_rounds:k () in
       let store = St.open_ path in
       Fun.protect
         ~finally:(fun () -> St.close store)
         (fun () ->
+          let kill_ns = k * quantum_ns in
           ignore
-            (Ckpt.save_cluster store ~key:"rejoin"
-               ~rounds:r1.Net.Cluster.rounds ~quantum_ns cluster);
-          let kill_at = r1.Net.Cluster.horizon_ns in
-          Net.Cluster.arm_nodes cluster
-            ~restore:(fun ~node ~at_ns:_ ->
-              Ckpt.restore_node store ~key:"rejoin" ~node ~boot:rejoin_boot)
-            {
-              Fi.n_seed = k;
-              n_events =
-                [
-                  { Fi.n_at_ns = kill_at; n_node = 1; n_act = Fi.N_kill };
-                  {
-                    Fi.n_at_ns = kill_at + 300_000;
-                    n_node = 1;
-                    n_act = Fi.N_restart;
-                  };
-                ];
-            };
+            (Ckpt.stage_node_failure store ~key:"rejoin" ~quantum_ns ~seed:k
+               ~node:1 ~kill_ns ~restart_ns:(kill_ns + 300_000)
+               ~boot:rejoin_boot cluster);
           let report = Net.Cluster.run cluster ~quantum_ns () in
           let machines =
             List.init 2 (fun i -> Net.Cluster.machine cluster i)

@@ -92,6 +92,26 @@ let test_kind_codes_roundtrip () =
        (Printf.sprintf "Event.kind_of_int: %d" Obs.Event.kind_count))
     (fun () -> ignore (Obs.Event.kind_of_int Obs.Event.kind_count))
 
+(* [kind_of_int] and [kind_to_string] read one declaration-order table
+   while [kind_to_int] is a match: the three must agree on every kind,
+   and each kind must print under its own name, so a name maps back to
+   exactly one code. *)
+let test_kind_tables_agree () =
+  let names = Hashtbl.create Obs.Event.kind_count in
+  for i = 0 to Obs.Event.kind_count - 1 do
+    let k = Obs.Event.kind_of_int i in
+    Alcotest.(check int) "code roundtrip" i (Obs.Event.kind_to_int k);
+    let name = Obs.Event.kind_to_string k in
+    Alcotest.(check bool) (name ^ " named") true (name <> "");
+    (match Hashtbl.find_opt names name with
+    | Some j ->
+      Alcotest.failf "codes %d and %d both print as %S" j i name
+    | None -> Hashtbl.add names name i)
+  done;
+  Alcotest.check_raises "negative code"
+    (Invalid_argument "Event.kind_of_int: -1")
+    (fun () -> ignore (Obs.Event.kind_of_int (-1)))
+
 let test_subsystem_filter () =
   let t = Obs.Tracer.create ~level:Obs.Tracer.Events ~processors:1 () in
   (* Keep only the port subsystem: process events are skipped before any
@@ -235,6 +255,7 @@ let suite =
     ("tracer: per-processor rings", `Quick, test_rings_are_per_processor);
     ("tracer: off level inert", `Quick, test_off_level_is_inert);
     ("tracer: kind codes roundtrip", `Quick, test_kind_codes_roundtrip);
+    ("event: kind tables agree", `Quick, test_kind_tables_agree);
     ("tracer: subsystem filter", `Quick, test_subsystem_filter);
     ("determinism: events and metrics", `Quick, test_event_stream_determinism);
     ("export: chrome trace", `Quick, test_chrome_export_structure);
