@@ -1,14 +1,14 @@
 (* Host wall-clock cost of the vm-tier swapping manager against the
-   seed swapping manager it replaced, with no swap device attached: the
+   seed swapping manager it replaced, with no swap device supplied: the
    canonical producer/consumer workload (the same shape Trace_overhead
    and Fi_overhead time) with every message object routed through the
    manager — allocate at the producer, touch at the consumer, free
    after the fold — once on Baselines.Seed_swapping (the frozen O(n)
    resident list) and once on the live Memory_manager.Swapping with its
-   embedded in-memory device and no envelope.  Nothing is ever evicted,
+   default in-memory device and no envelope.  Nothing is ever evicted,
    so what the ratio measures is pure bookkeeping: the resident-set
-   controller, the device seam, and the dormant observability branches
-   against the seed's list scans.  The gate below holds the vm tier
+   controller and the device's stale-image probes against the seed's
+   list scans.  The gate below holds the vm tier
    under 1% over the seed — the new subsystem must not tax a system
    that never configures a device — and in practice the ratio runs
    negative: the seed scanned the resident list on every touch and

@@ -122,13 +122,18 @@ let allocate table access ~data_length ~access_length ~otype =
   Access.make ~index:e.Object_table.index ~rights:Rights.full
 
 (* Return one object's storage to its SRO and invalidate its descriptor.
-   Used by the garbage collector's sweep and by explicit destruction. *)
+   Used by the garbage collector's sweep and by explicit destruction.  A
+   swapped-out segment holds no frame — the swapper donated it back at
+   swap-out, and [base] may since belong to another object — so its
+   release returns no storage. *)
 let release table ~sro_state:s ~index =
   let e = Object_table.lookup table index in
   if e.Object_table.sro <> s.self then
     Fault.raise_fault (Fault.Protocol "object released to foreign SRO");
-  give_region s ~base:e.Object_table.base ~length:e.Object_table.data_length;
-  s.free_bytes <- s.free_bytes + e.Object_table.data_length;
+  if not e.Object_table.swapped_out then begin
+    give_region s ~base:e.Object_table.base ~length:e.Object_table.data_length;
+    s.free_bytes <- s.free_bytes + e.Object_table.data_length
+  end;
   untrack_allocated s index;
   s.destroy_count <- s.destroy_count + 1;
   Object_table.free_entry table index

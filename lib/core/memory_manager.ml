@@ -15,12 +15,11 @@
 
    The swapping implementation is built on the virtual-memory tier
    (lib/vm): a {!I432_vm.Resident_set} controller owns victim selection
-   and the optional RAM envelope, and a {!I432_vm.Swap_device} holds the
-   evicted segment images.  With no device configured the manager embeds
-   an in-memory device and emits no events and no counters — exactly the
-   original behavior, byte for byte.  Attaching a device (the explicit
-   act, mirroring Store.attach) turns on the swap.* counters and the
-   Swap_out/Swap_in/Swap_fault events. *)
+   under the configured policy and the optional RAM envelope, and a
+   {!I432_vm.Swap_device} holds the evicted segment images (a private
+   in-memory device unless one is supplied).  Every swapping manager
+   keeps the swap.* counters and emits the Swap_out/Swap_in/Swap_fault
+   events, whatever its device. *)
 
 open I432
 module K = I432_kernel
@@ -41,7 +40,7 @@ let fresh_stats () =
 module type S = sig
   type t
 
-  val name : string
+  val name : t -> string
   val create : K.Machine.t -> heap_bytes:int -> t
 
   (** Global heap allocation: the object lives at level 0 until
@@ -72,6 +71,16 @@ end
 
 (* Shared plumbing: per-level local SROs and descriptor release. *)
 
+(* The local heap for [level]: one 64 KB SRO per lifetime level, replaced
+   once the old one has been destroyed. *)
+let local_sro machine locals ~level =
+  match Hashtbl.find_opt locals level with
+  | Some sro when Sro.is_live (K.Machine.table machine) sro -> sro
+  | Some _ | None ->
+    let sro = K.Machine.create_local_sro machine ~level ~bytes:(64 * 1024) in
+    Hashtbl.replace locals level sro;
+    sro
+
 let release_to_owner table index st =
   match Sro.state_of_object table ~index with
   | Some s ->
@@ -87,15 +96,15 @@ module Nonswapping : S = struct
   type t = {
     machine : K.Machine.t;
     heap : Access.t;  (* level-0 SRO *)
-    mutable locals : (int * Access.t) list;  (* level -> SRO *)
+    locals : (int, Access.t) Hashtbl.t;  (* level -> SRO *)
     st : stats;
   }
 
-  let name = "non-swapping"
+  let name _ = "non-swapping"
 
   let create machine ~heap_bytes =
     let heap = K.Machine.create_local_sro machine ~level:0 ~bytes:heap_bytes in
-    { machine; heap; locals = []; st = fresh_stats () }
+    { machine; heap; locals = Hashtbl.create 4; st = fresh_stats () }
 
   let allocate t ~data_length ~access_length ~otype =
     match
@@ -108,18 +117,8 @@ module Nonswapping : S = struct
       t.st.alloc_faults <- t.st.alloc_faults + 1;
       Fault.raise_fault cause
 
-  let local_sro t ~level =
-    match List.assoc_opt level t.locals with
-    | Some sro when Sro.is_live (K.Machine.table t.machine) sro -> sro
-    | Some _ | None ->
-      let sro =
-        K.Machine.create_local_sro t.machine ~level ~bytes:(64 * 1024)
-      in
-      t.locals <- (level, sro) :: List.remove_assoc level t.locals;
-      sro
-
   let allocate_local t ~level ~data_length ~access_length ~otype =
-    let sro = local_sro t ~level in
+    let sro = local_sro t.machine t.locals ~level in
     let a = K.Machine.allocate t.machine sro ~data_length ~access_length ~otype in
     t.st.allocations <- t.st.allocations + 1;
     a
@@ -143,81 +142,45 @@ end
 let swap_in_ns = 400_000
 let swap_out_ns = 400_000
 
-module type SWAP_CONFIG = sig
-  val victim_policy : Vm.Policy.t
-end
-
-module type SWAPPING = sig
-  include S
-
-  (** The additional management interface (§6.2): configure a
-      resident-set RAM envelope and a swap device.  [create] is
-      [create_with] with no envelope and an embedded in-memory device —
-      and, crucially, no observability: only an explicitly attached
-      device turns on swap.* counters and the Swap_out/Swap_in/Swap_fault
-      events, so a system without one is byte-identical to the
-      pre-vm-tier manager. *)
-  val create_with :
-    ?ram_bytes:int ->
-    ?device:Vm.Swap_device.t ->
-    K.Machine.t ->
-    heap_bytes:int ->
-    t
-
-  val device : t -> Vm.Swap_device.t
-  val ram_bytes : t -> int option
-  val resident_bytes : t -> int
-  val resident_count : t -> int
-end
-
-module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
-  (* swap.* counters, created only when a device is attached. *)
-  type observed = {
-    o_ins : Obs.Metrics.counter;
-    o_outs : Obs.Metrics.counter;
-    o_faults : Obs.Metrics.counter;
-    o_bytes_in : Obs.Metrics.counter;
-    o_bytes_out : Obs.Metrics.counter;
-  }
-
+module Swapping = struct
   type t = {
     machine : K.Machine.t;
     heap : Access.t;
-    mutable locals : (int * Access.t) list;
+    locals : (int, Access.t) Hashtbl.t;
     rset : Vm.Resident_set.t;
     dev : Vm.Swap_device.t;
-    obs : observed option;
+    policy_name : string;  (* the Swap_out event's name *)
+    ins : Obs.Metrics.counter;
+    outs : Obs.Metrics.counter;
+    faults : Obs.Metrics.counter;
+    bytes_in : Obs.Metrics.counter;
+    bytes_out : Obs.Metrics.counter;
     st : stats;
   }
 
-  let policy_name = Vm.Policy.to_string C.victim_policy
-  let name = "swapping/" ^ policy_name
+  let name t = "swapping/" ^ t.policy_name
 
-  let create_with ?ram_bytes ?device machine ~heap_bytes =
-    let dev, obs =
-      match device with
-      | Some d ->
-        let metrics = K.Machine.metrics machine in
-        let c = Obs.Metrics.counter metrics in
-        ( d,
-          Some
-            {
-              o_ins = c "swap.ins";
-              o_outs = c "swap.outs";
-              o_faults = c "swap.faults";
-              o_bytes_in = c "swap.bytes_in";
-              o_bytes_out = c "swap.bytes_out";
-            } )
-      | None -> (Vm.Swap_device.in_memory (), None)
-    in
+  let create_with ?(policy = Vm.Policy.Lru) ?ram_bytes
+      ?(device = Vm.Swap_device.in_memory ()) machine ~heap_bytes =
+    let c = Obs.Metrics.counter (K.Machine.metrics machine) in
+    let ins = c "swap.ins" in
+    let outs = c "swap.outs" in
+    let faults = c "swap.faults" in
+    let bytes_in = c "swap.bytes_in" in
+    let bytes_out = c "swap.bytes_out" in
     let heap = K.Machine.create_local_sro machine ~level:0 ~bytes:heap_bytes in
     {
       machine;
       heap;
-      locals = [];
-      rset = Vm.Resident_set.create ~policy:C.victim_policy ?ram_bytes ();
-      dev;
-      obs;
+      locals = Hashtbl.create 4;
+      rset = Vm.Resident_set.create ~policy ?ram_bytes ();
+      dev = device;
+      policy_name = Vm.Policy.to_string policy;
+      ins;
+      outs;
+      faults;
+      bytes_in;
+      bytes_out;
       st = fresh_stats ();
     }
 
@@ -254,11 +217,9 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
      store.
 
      A clean victim — not written since its last device transfer, with
-     its image still retained on the device — skips the write and its
-     charge entirely: the retained image is already current.  Only an
-     attached device retains images across swap-in (see [swap_in]), so
-     the embedded manager never takes this path and stays byte-identical
-     to the pre-dirty-bit behavior. *)
+     its image still retained on the device (see [swap_in]) — skips the
+     write and its charge entirely: the retained image is already
+     current. *)
   let swap_out t index =
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
@@ -283,18 +244,15 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
     Vm.Resident_set.remove t.rset ~index;
     if not clean then K.Machine.charge t.machine swap_out_ns;
     t.st.swap_outs <- t.st.swap_outs + 1;
-    match t.obs with
-    | Some o ->
-      Obs.Metrics.incr o.o_outs;
-      if clean then
-        Obs.Metrics.incr
-          (Obs.Metrics.counter
-             (K.Machine.metrics t.machine)
-             "swap.clean_evictions")
-      else Obs.Metrics.incr ~by:e.Object_table.data_length o.o_bytes_out;
-      K.Machine.emit_event t.machine ~name:policy_name ~a:index
-        ~b:e.Object_table.data_length Obs.Event.Swap_out
-    | None -> ()
+    Obs.Metrics.incr t.outs;
+    if clean then
+      Obs.Metrics.incr
+        (Obs.Metrics.counter
+           (K.Machine.metrics t.machine)
+           "swap.clean_evictions")
+    else Obs.Metrics.incr ~by:e.Object_table.data_length t.bytes_out;
+    K.Machine.emit_event t.machine ~name:t.policy_name ~a:index
+      ~b:e.Object_table.data_length Obs.Event.Swap_out
 
   (* Evict until [sro_state] can supply [size] bytes, or no victims remain. *)
   let rec make_room t ~sro_state ~size ~avoid =
@@ -310,9 +268,8 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
 
   (* The RAM envelope: after a segment becomes resident, evict until the
      resident set fits again.  Without [ram_bytes] this is free —
-     [over_envelope] is constantly false — which is what keeps the
-     no-envelope manager's eviction schedule (and therefore every
-     pre-existing trace) unchanged. *)
+     [over_envelope] is constantly false — so only heap pressure
+     evicts. *)
   let rec enforce_envelope t ~avoid =
     if Vm.Resident_set.over_envelope t.rset ~extra:0 then
       match pick_victim t ~avoid with
@@ -321,7 +278,9 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
         swap_out t victim;
         enforce_envelope t ~avoid
 
-  (* Bring a swapped-out segment back, evicting residents as needed. *)
+  (* Bring a swapped-out segment back, evicting residents as needed.  The
+     device keeps the image, so an unmodified segment can be re-evicted
+     without a write. *)
   let swap_in t index =
     let table = K.Machine.table t.machine in
     let memory = K.Machine.memory t.machine in
@@ -340,25 +299,17 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
           | Some image ->
             Memory.blit_from_bytes memory ~src:image ~dst_addr:base
           | None -> Memory.fill memory ~addr:base ~len:size ~byte:'\000');
-          (* An attached device retains the image so an unmodified
-             segment can be re-evicted without a write; the embedded
-             device keeps the original drop-on-swap-in lifetime. *)
-          if t.obs = None then
-            Vm.Swap_device.drop t.dev ~index ~now_ns:(K.Machine.now t.machine);
           e.Object_table.base <- base;
           e.Object_table.swapped_out <- false;
           e.Object_table.dirty <- false;
           note_resident t index;
           K.Machine.charge t.machine swap_in_ns;
           t.st.swap_ins <- t.st.swap_ins + 1;
-          (match t.obs with
-          | Some o ->
-            Obs.Metrics.incr o.o_ins;
-            Obs.Metrics.incr ~by:size o.o_bytes_in;
-            K.Machine.emit_event t.machine
-              ~name:(Vm.Swap_device.name t.dev)
-              ~a:index ~b:size Obs.Event.Swap_in
-          | None -> ());
+          Obs.Metrics.incr t.ins;
+          Obs.Metrics.incr ~by:size t.bytes_in;
+          K.Machine.emit_event t.machine
+            ~name:(Vm.Swap_device.name t.dev)
+            ~a:index ~b:size Obs.Event.Swap_in;
           enforce_envelope t ~avoid:index)
     end
 
@@ -368,19 +319,21 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
      allocation because those are exactly the points where an index comes
      back into use as a potential victim. *)
   let invalidate_stale_image t index =
-    if t.obs <> None && Vm.Swap_device.mem t.dev ~index then
+    if Vm.Swap_device.mem t.dev ~index then
       Vm.Swap_device.drop t.dev ~index ~now_ns:(K.Machine.now t.machine)
+
+  let admit t a =
+    t.st.allocations <- t.st.allocations + 1;
+    invalidate_stale_image t (Access.index a);
+    note_resident t (Access.index a);
+    enforce_envelope t ~avoid:(Access.index a);
+    a
 
   let allocate_with_pressure t sro ~data_length ~access_length ~otype =
     match
       K.Machine.allocate t.machine sro ~data_length ~access_length ~otype
     with
-    | a ->
-      t.st.allocations <- t.st.allocations + 1;
-      invalidate_stale_image t (Access.index a);
-      note_resident t (Access.index a);
-      enforce_envelope t ~avoid:(Access.index a);
-      a
+    | a -> admit t a
     | exception Fault.Fault (Fault.Storage_exhausted _) -> (
       t.st.alloc_faults <- t.st.alloc_faults + 1;
       let table = K.Machine.table t.machine in
@@ -393,62 +346,32 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
         (* Return the carved frame and let the allocator place the new
            object there. *)
         Sro.donate table ~sro_state:s ~base ~length:data_length;
-        let a =
-          K.Machine.allocate t.machine sro ~data_length ~access_length ~otype
-        in
-        t.st.allocations <- t.st.allocations + 1;
-        invalidate_stale_image t (Access.index a);
-        note_resident t (Access.index a);
-        enforce_envelope t ~avoid:(Access.index a);
-        a)
+        admit t
+          (K.Machine.allocate t.machine sro ~data_length ~access_length ~otype))
 
   let allocate t ~data_length ~access_length ~otype =
     allocate_with_pressure t t.heap ~data_length ~access_length ~otype
 
-  let local_sro t ~level =
-    match List.assoc_opt level t.locals with
-    | Some sro when Sro.is_live (K.Machine.table t.machine) sro -> sro
-    | Some _ | None ->
-      let sro =
-        K.Machine.create_local_sro t.machine ~level ~bytes:(64 * 1024)
-      in
-      t.locals <- (level, sro) :: List.remove_assoc level t.locals;
-      sro
-
   let allocate_local t ~level ~data_length ~access_length ~otype =
-    let sro = local_sro t ~level in
+    let sro = local_sro t.machine t.locals ~level in
     allocate_with_pressure t sro ~data_length ~access_length ~otype
 
+  (* The index is about to be recycled, so its image must not outlive the
+     object; an absent segment holds no frame, which [Sro.release] knows. *)
   let free t access =
     let table = K.Machine.table t.machine in
     let e = Object_table.entry_of_access table access in
     Vm.Resident_set.remove t.rset ~index:e.Object_table.index;
-    if e.Object_table.swapped_out then begin
-      (* The segment is absent, so its image is on the device; release
-         the image, and with no physical frame to return, make the
-         release a descriptor-only operation. *)
-      Vm.Swap_device.drop t.dev ~index:e.Object_table.index
-        ~now_ns:(K.Machine.now t.machine);
-      e.Object_table.data_length <- 0;
-      e.Object_table.swapped_out <- false
-    end
-    else
-      (* Resident, but an attached device may still retain the image
-         kept across swap-in; the index is about to be recycled, so the
-         image must not outlive the object. *)
-      invalidate_stale_image t e.Object_table.index;
+    invalidate_stale_image t e.Object_table.index;
     release_to_owner table e.Object_table.index t.st
 
   let touch t access =
     let table = K.Machine.table t.machine in
     let e = Object_table.entry_of_access table access in
     if e.Object_table.swapped_out then begin
-      (match t.obs with
-      | Some o ->
-        Obs.Metrics.incr o.o_faults;
-        K.Machine.emit_event t.machine ~a:e.Object_table.index
-          ~b:e.Object_table.data_length Obs.Event.Swap_fault
-      | None -> ());
+      Obs.Metrics.incr t.faults;
+      K.Machine.emit_event t.machine ~a:e.Object_table.index
+        ~b:e.Object_table.data_length Obs.Event.Swap_fault;
       swap_in t e.Object_table.index
     end;
     Vm.Resident_set.touch t.rset ~index:e.Object_table.index
@@ -456,19 +379,3 @@ module Make_swapping (C : SWAP_CONFIG) : SWAPPING = struct
 
   let stats t = t.st
 end
-
-module Swapping = Make_swapping (struct
-  let victim_policy = Vm.Policy.Lru
-end)
-
-module Swapping_fifo = Make_swapping (struct
-  let victim_policy = Vm.Policy.Fifo
-end)
-
-module Swapping_clock = Make_swapping (struct
-  let victim_policy = Vm.Policy.Clock
-end)
-
-module Swapping_level = Make_swapping (struct
-  let victim_policy = Vm.Policy.Level_aware
-end)

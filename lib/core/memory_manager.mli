@@ -22,7 +22,7 @@ type stats = {
 module type S = sig
   type t
 
-  val name : string
+  val name : t -> string
   val create : K.Machine.t -> heap_bytes:int -> t
 
   val allocate :
@@ -48,30 +48,30 @@ end
 (** The paper's first release: no swapping; exhaustion faults. *)
 module Nonswapping : S
 
-(** The swapping implementation's configuration: its victim policy,
-    realized by {!I432_vm.Resident_set} (see {!I432_vm.Policy}).  Swap-in
-    and swap-out each charge 0.4 ms, a fast backing store. *)
-module type SWAP_CONFIG = sig
-  val victim_policy : Vm.Policy.t
-end
+(** The second release: segments move to a swap device under pressure
+    and return on [touch]; direct access to an absent segment faults with
+    [Segment_swapped_out].  Swap-in and swap-out each charge 0.4 ms, a
+    fast backing store.
 
-(** The swapping interface: {!S} plus the management surface the
-    virtual-memory tier adds. *)
-module type SWAPPING = sig
+    There is one swap-in/swap-out path, whatever the device: every
+    manager creates the [swap.ins]/[swap.outs]/[swap.faults]/
+    [swap.bytes_in]/[swap.bytes_out] counters and emits the
+    [Swap_out]/[Swap_in]/[Swap_fault] events, and swap-in leaves the
+    image on the device, so a segment not written since can be evicted
+    again without a write or a charge ([swap.clean_evictions]).  [name]
+    is ["swapping/"] followed by the policy's {!I432_vm.Policy.to_string}. *)
+module Swapping : sig
   include S
 
-  (** [create_with] configures what [create] defaults: a resident-set
-      RAM envelope in bytes (evictions keep the sum of resident segment
-      bytes at or under it) and the swap [device] absent segments live
-      on.  The victim policy is the functor's.
-
-      Attaching a device is the observability switch, mirroring
-      [Store.attach]: only then are the [swap.ins]/[swap.outs]/
-      [swap.faults]/[swap.bytes_in]/[swap.bytes_out] counters created and
-      the [Swap_out]/[Swap_in]/[Swap_fault] events emitted.  [create]
-      (no device, no envelope) embeds a private in-memory device and
-      stays byte-identical to the pre-vm-tier manager. *)
+  (** The additional management interface (§6.2): [create_with]
+      configures what [create] defaults — the victim [policy] realized by
+      {!I432_vm.Resident_set} (default [Lru]), a resident-set RAM
+      envelope in bytes (evictions keep the sum of resident segment bytes
+      at or under it; default none, so only heap pressure evicts), and
+      the swap [device] absent segments live on (default a private
+      {!I432_vm.Swap_device.in_memory}). *)
   val create_with :
+    ?policy:Vm.Policy.t ->
     ?ram_bytes:int ->
     ?device:Vm.Swap_device.t ->
     K.Machine.t ->
@@ -83,13 +83,3 @@ module type SWAPPING = sig
   val resident_bytes : t -> int
   val resident_count : t -> int
 end
-
-(** The second release: segments move to a swap device under pressure
-    and return on [touch]; direct access to an absent segment faults with
-    [Segment_swapped_out]. *)
-module Make_swapping (_ : SWAP_CONFIG) : SWAPPING
-
-module Swapping : SWAPPING
-module Swapping_fifo : SWAPPING
-module Swapping_clock : SWAPPING
-module Swapping_level : SWAPPING

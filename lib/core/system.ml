@@ -27,7 +27,7 @@ type config = {
   heap_bytes : int;  (* managed heap carved for the memory manager *)
   memory_manager : memory_choice;
   swap_ram_bytes : int option;  (* resident-set envelope for swapping mms *)
-  swap_device : I432_vm.Swap_device.t option;  (* attach = observe *)
+  swap_device : I432_vm.Swap_device.t option;  (* None: in-memory *)
   scheduling : Scheduler.policy;
   run_gc_daemon : bool;
   gc_config : I432_gc.Collector.config;
@@ -54,23 +54,26 @@ let default_config =
     trace_capacity = I432_obs.Tracer.default_capacity;
   }
 
+(* The swapping choices differ only in the resident set's victim policy. *)
+let victim_policy = function
+  | Non_swapping -> None
+  | Swapping_lru -> Some I432_vm.Policy.Lru
+  | Swapping_fifo -> Some I432_vm.Policy.Fifo
+  | Swapping_clock -> Some I432_vm.Policy.Clock
+  | Swapping_level -> Some I432_vm.Policy.Level_aware
+
 (* A booted system: the machine plus the packages the configuration
    selected.  The memory manager is a first-class module packaged with its
    state — the "package as type" extension of §6.3. *)
 
 type packed_mm = Packed : (module Memory_manager.S with type t = 'a) * 'a -> packed_mm
 
-type packed_swapping =
-  | Packed_swapping :
-      (module Memory_manager.SWAPPING with type t = 'a) * 'a
-      -> packed_swapping
-
 type t = {
   machine : K.Machine.t;
   process_manager : Process_manager.t;
   scheduler : Scheduler.t;
   memory : packed_mm;
-  swapping : packed_swapping option;
+  swapping : Memory_manager.Swapping.t option;  (* [memory], when it swaps *)
   collector : I432_gc.Collector.t option;
   config : config;
 }
@@ -95,25 +98,20 @@ let boot ?(config = default_config) () =
   (match config.scheduling with
   | Scheduler.Fair_share -> ignore (Scheduler.spawn_daemon scheduler)
   | Scheduler.Null | Scheduler.Round_robin -> ());
-  let boot_swapping (type a)
-      (module M : Memory_manager.SWAPPING with type t = a) =
-    let mm =
-      M.create_with ?ram_bytes:config.swap_ram_bytes
-        ?device:config.swap_device machine ~heap_bytes:config.heap_bytes
-    in
-    (Packed ((module M), mm), Some (Packed_swapping ((module M), mm)))
-  in
   let memory, swapping =
-    match config.memory_manager with
-    | Non_swapping ->
+    match victim_policy config.memory_manager with
+    | None ->
       let mm =
         Memory_manager.Nonswapping.create machine ~heap_bytes:config.heap_bytes
       in
       (Packed ((module Memory_manager.Nonswapping), mm), None)
-    | Swapping_lru -> boot_swapping (module Memory_manager.Swapping)
-    | Swapping_fifo -> boot_swapping (module Memory_manager.Swapping_fifo)
-    | Swapping_clock -> boot_swapping (module Memory_manager.Swapping_clock)
-    | Swapping_level -> boot_swapping (module Memory_manager.Swapping_level)
+    | Some policy ->
+      let mm =
+        Memory_manager.Swapping.create_with ~policy
+          ?ram_bytes:config.swap_ram_bytes ?device:config.swap_device machine
+          ~heap_bytes:config.heap_bytes
+      in
+      (Packed ((module Memory_manager.Swapping), mm), Some mm)
   in
   let collector =
     if config.run_gc_daemon then begin
@@ -154,31 +152,24 @@ let mm_stats t =
   M.stats mm
 
 let mm_name t =
-  let (Packed ((module M), _)) = t.memory in
-  M.name
+  let (Packed ((module M), mm)) = t.memory in
+  M.name mm
 
 (* The swapping management interface, when a swapping implementation was
    selected (None under Non_swapping). *)
 
 let mm_resident_bytes t =
-  Option.map
-    (fun (Packed_swapping ((module M), mm)) -> M.resident_bytes mm)
-    t.swapping
+  Option.map Memory_manager.Swapping.resident_bytes t.swapping
 
 let mm_resident_count t =
-  Option.map
-    (fun (Packed_swapping ((module M), mm)) -> M.resident_count mm)
-    t.swapping
+  Option.map Memory_manager.Swapping.resident_count t.swapping
 
-let mm_device t =
-  Option.map (fun (Packed_swapping ((module M), mm)) -> M.device mm) t.swapping
+let mm_device t = Option.map Memory_manager.Swapping.device t.swapping
 
-let memory_choice_to_string = function
-  | Non_swapping -> "non-swapping"
-  | Swapping_lru -> "swapping/lru"
-  | Swapping_fifo -> "swapping/fifo"
-  | Swapping_clock -> "swapping/clock"
-  | Swapping_level -> "swapping/level"
+let memory_choice_to_string choice =
+  match victim_policy choice with
+  | None -> "non-swapping"
+  | Some policy -> "swapping/" ^ I432_vm.Policy.to_string policy
 
 (* Run to completion and report. *)
 let run ?max_ns ?max_steps t = K.Machine.run ?max_ns ?max_steps t.machine

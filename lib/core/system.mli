@@ -24,9 +24,8 @@ type config = {
       (** resident-set RAM envelope for the swapping managers; [None]
           (the default) means pressure-driven eviction only *)
   swap_device : I432_vm.Swap_device.t option;
-      (** swap device for the swapping managers; attaching one turns on
-          the swap.* counters and Swap_* events (default [None]: a
-          private in-memory device, unobserved) *)
+      (** swap device for the swapping managers (default [None]: a
+          private in-memory device) *)
   scheduling : Scheduler.policy;
   run_gc_daemon : bool;
   gc_config : I432_gc.Collector.config;

@@ -9,8 +9,7 @@
     do.
 
     Transfer accounting is centralized in {!make}, so every
-    implementation reports the same [stats] shape — the source of the
-    swap-device throughput ([swap_tp]) bench key. *)
+    implementation reports the same [stats] shape. *)
 
 type stats = {
   mutable writes : int;
@@ -53,6 +52,6 @@ val drop : t -> index:int -> now_ns:int -> unit
 val name : t -> string
 val stats : t -> stats
 
-(** The hash-table device the original swapping manager embedded — image
-    lifetime is the device's lifetime, nothing persists. *)
+(** A hash-table device, the swapping manager's default — image lifetime
+    is the device's lifetime, nothing persists. *)
 val in_memory : unit -> t

@@ -140,30 +140,31 @@ let test_manager_level_aware () =
   let m = mk () in
   let table = K.Machine.table m in
   let mm =
-    MM.Swapping_level.create_with ~ram_bytes:96 m ~heap_bytes:(64 * 1024)
+    MM.Swapping.create_with ~policy:Vm.Policy.Level_aware ~ram_bytes:96 m
+      ~heap_bytes:(64 * 1024)
   in
   let alloc_global () =
-    MM.Swapping_level.allocate mm ~data_length:32 ~access_length:0
+    MM.Swapping.allocate mm ~data_length:32 ~access_length:0
       ~otype:Obj_type.Generic
   in
   let a0 = alloc_global () in
   let b2 =
-    MM.Swapping_level.allocate_local mm ~level:2 ~data_length:32
+    MM.Swapping.allocate_local mm ~level:2 ~data_length:32
       ~access_length:0 ~otype:Obj_type.Generic
   in
   let _c0 = alloc_global () in
   (* b2 is the most recently used object in the set... *)
-  MM.Swapping_level.touch mm b2;
+  MM.Swapping.touch mm b2;
   Alcotest.(check int) "three residents, envelope full" 96
-    (MM.Swapping_level.resident_bytes mm);
+    (MM.Swapping.resident_bytes mm);
   (* ...and the next admission still evicts it first. *)
   let _d0 = alloc_global () in
   let swapped a = (Object_table.entry_of_access table a).Object_table.swapped_out in
   Alcotest.(check bool) "level-2 segment went out" true (swapped b2);
   Alcotest.(check bool) "level-0 stayed" false (swapped a0);
-  Alcotest.(check int) "one eviction" 1 (MM.Swapping_level.stats mm).MM.swap_outs;
+  Alcotest.(check int) "one eviction" 1 (MM.Swapping.stats mm).MM.swap_outs;
   (* Touch brings it back (and evicts a level-0 victim to make room). *)
-  MM.Swapping_level.touch mm b2;
+  MM.Swapping.touch mm b2;
   Alcotest.(check bool) "touch faulted it in" false (swapped b2)
 
 (* ---------------- Swapping vs Nonswapping equality ---------------- *)
@@ -187,8 +188,8 @@ let nonswap_ops m =
     op_swap_outs = (fun () -> (MM.Nonswapping.stats mm).MM.swap_outs);
   }
 
-let swap_ops m =
-  let mm = MM.Swapping.create m ~heap_bytes:(1 lsl 20) in
+let swap_ops policy m =
+  let mm = MM.Swapping.create_with ~policy m ~heap_bytes:(1 lsl 20) in
   {
     op_alloc =
       (fun ~data_length ->
@@ -238,9 +239,9 @@ let run_script mk_ops script =
   (stream, !sum, ops.op_swap_outs ())
 
 (* qcheck: on any workload whose live set fits in RAM, the swapping
-   manager is observationally identical to the non-swapping one — same
-   event stream byte for byte, same read-back checksum — and it never
-   evicts. *)
+   manager under every victim policy is observationally identical to the
+   non-swapping one — same event stream byte for byte, same read-back
+   checksum — and it never evicts. *)
 let prop_swap_nonswap_equal =
   QCheck2.Test.make
     ~name:"swapping == non-swapping when the working set fits" ~count:60
@@ -248,8 +249,11 @@ let prop_swap_nonswap_equal =
       list_size (int_range 1 60) (pair (int_range 0 2) (int_range 0 1000)))
     (fun script ->
       let s_ns, sum_ns, _ = run_script nonswap_ops script in
-      let s_sw, sum_sw, outs = run_script swap_ops script in
-      s_ns = s_sw && sum_ns = sum_sw && outs = 0)
+      List.for_all
+        (fun policy ->
+          let s_sw, sum_sw, outs = run_script (swap_ops policy) script in
+          s_ns = s_sw && sum_ns = sum_sw && outs = 0)
+        Vm.Policy.all)
 
 (* ---------------- Swap-store crash sweep ---------------- *)
 
@@ -422,6 +426,110 @@ let test_stale_image_invalidated () =
   Alcotest.(check int) "reused index reads its own image" 5
     (K.Machine.read_word m d ~offset:0)
 
+(* ---------------- One swap path ---------------- *)
+
+let swap_counters =
+  [
+    "swap.ins";
+    "swap.outs";
+    "swap.faults";
+    "swap.bytes_in";
+    "swap.bytes_out";
+    "swap.clean_evictions";
+  ]
+
+(* The private device [create] supplies is an ordinary device: a script
+   forcing evictions, swap-ins and clean re-evictions runs identically on
+   plain [create] and on [create_with] over an explicit in-memory device
+   — same event stream (Swap_* events included), same stats, same swap.*
+   counters. *)
+let test_create_is_create_with_in_memory () =
+  let run make =
+    let m = mk ~trace:true () in
+    let mm = make m ~heap_bytes:128 in
+    ignore
+      (K.Machine.spawn m ~name:"worker" (fun () ->
+           let objs =
+             Array.init 6 (fun i ->
+                 let o =
+                   MM.Swapping.allocate mm ~data_length:32 ~access_length:0
+                     ~otype:Obj_type.Generic
+                 in
+                 if i mod 2 = 0 then K.Machine.write_word m o ~offset:0 i;
+                 o)
+           in
+           List.iter
+             (fun i ->
+               MM.Swapping.touch mm objs.(i);
+               K.Machine.compute m 1)
+             [ 0; 1; 2; 0; 5; 3; 1; 4; 0; 2 ]));
+    ignore (K.Machine.run m);
+    ( K.Machine.events m,
+      MM.Swapping.stats mm,
+      List.map (fun name -> (name, counter_value m name)) swap_counters )
+  in
+  let ((events, st, counters) as plain) = run MM.Swapping.create in
+  let explicit =
+    run (fun m ~heap_bytes ->
+        MM.Swapping.create_with ~device:(Vm.Swap_device.in_memory ()) m
+          ~heap_bytes)
+  in
+  Alcotest.(check bool) "the script evicts and faults back in" true
+    (st.MM.swap_outs > 0 && st.MM.swap_ins > 0);
+  Alcotest.(check bool) "plain create emits Swap_* events" true
+    (List.exists
+       (fun e ->
+         List.mem e.Obs.Event.kind
+           Obs.Event.[ Swap_out; Swap_in; Swap_fault ])
+       events);
+  Alcotest.(check bool) "a clean re-eviction happened" true
+    (List.assoc "swap.clean_evictions" counters > 0);
+  Alcotest.(check bool) "identical streams, stats and counters" true
+    (plain = explicit)
+
+(* A swapped-out segment's frame went back to its SRO at swap-out.  When
+   the collector later sweeps that object, the release must return
+   nothing: handing the stale base out again would give one frame to two
+   live objects. *)
+let test_gc_sweep_of_swapped_out () =
+  let m = mk () in
+  let table = K.Machine.table m in
+  let mm = MM.Swapping.create m ~heap_bytes:4096 in
+  let alloc () =
+    MM.Swapping.allocate mm ~data_length:1024 ~access_length:0
+      ~otype:Obj_type.Generic
+  in
+  let x = alloc () in
+  K.Machine.write_word m x ~offset:0 777;
+  let rooted =
+    List.init 4 (fun _ ->
+        let o = alloc () in
+        K.Machine.add_root m o;
+        o)
+  in
+  let entry a = Object_table.entry_of_access table a in
+  Alcotest.(check bool) "x swapped out" true (entry x).Object_table.swapped_out;
+  let c = I432_gc.Collector.create m in
+  ignore
+    (K.Machine.spawn m ~name:"collect" (fun () ->
+         ignore (I432_gc.Collector.cycle c)));
+  ignore (K.Machine.run m);
+  Alcotest.(check bool) "x swept" false
+    (Object_table.is_valid table (Access.index x));
+  let y = alloc () in
+  let y_base = (entry y).Object_table.base in
+  List.iter
+    (fun o ->
+      let e = entry o in
+      if not e.Object_table.swapped_out then begin
+        Alcotest.(check bool) "no live object shares y's frame" true
+          (e.Object_table.base <> y_base);
+        K.Machine.write_word m o ~offset:0 1003
+      end)
+    rooted;
+  Alcotest.(check int) "y reads its own zeroed frame" 0
+    (K.Machine.read_word m y ~offset:0)
+
 (* ---------------- Envelope sweep ---------------- *)
 
 (* The multiuser working set under a shrinking RAM envelope: 4 000
@@ -536,6 +644,10 @@ let suite =
       test_dirty_eviction_rewrites;
     Alcotest.test_case "stale retained image is invalidated on reuse" `Quick
       test_stale_image_invalidated;
+    Alcotest.test_case "create is create_with on an in-memory device" `Quick
+      test_create_is_create_with_in_memory;
+    Alcotest.test_case "gc sweep of a swapped-out object frees no frame"
+      `Quick test_gc_sweep_of_swapped_out;
     Alcotest.test_case "envelope sweep: shrinking RAM raises the fault rate"
       `Quick test_envelope_sweep;
   ]
