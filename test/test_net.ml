@@ -453,12 +453,16 @@ let test_link_plan_deterministic () =
 (* ---------------- Parallel engine: seq == par, byte for byte -------- *)
 
 (* A star cluster: node 0 is the hub, nodes 1..n-1 are clients, each
-   linked to the hub.  Every client streams [count] messages to the hub's
-   exported port while a seeded link-fault plan shakes the wires.
-   Returns every observable the determinism contract covers: the report,
-   delivery order, per-node event streams, per-node state images, and the
-   deterministically merged metrics dump. *)
-let star_scenario ~engine ~nodes:n ~seed ~count () =
+   linked to the hub.  The first [active] clients stream [count] messages
+   each to the hub's exported port, optionally while a seeded link-fault
+   plan shakes the wires; the other clients stay idle, so rounds with
+   zero, one and several busy nodes all occur.  With [nap] the hub
+   sleeps 250 µs after each message, so frames land on an idle node
+   with a wake-up pending.  Returns every observable the determinism
+   contract covers: the report, delivery order, per-node event streams,
+   per-node state images, and the deterministically merged metrics
+   dump. *)
+let star_scenario ~engine ~nodes:n ~active ~faults ~nap ~seed ~count () =
   let cluster = Net.Cluster.create () in
   let config =
     {
@@ -477,15 +481,16 @@ let star_scenario ~engine ~nodes:n ~seed ~count () =
   done;
   let home = K.Machine.create_port mhub ~capacity:4 ~discipline:K.Port.Fifo () in
   Net.Cluster.export cluster ~node:hub ~name:"hub" home;
-  let total = (n - 1) * count in
+  let total = active * count in
   let got = ref [] in
   ignore
     (K.Machine.spawn mhub ~name:"consumer" (fun () ->
          for _ = 1 to total do
            let msg = K.Machine.receive mhub ~port:home in
-           got := K.Machine.read_word mhub msg ~offset:0 :: !got
+           got := K.Machine.read_word mhub msg ~offset:0 :: !got;
+           if nap then K.Machine.delay mhub ~ns:250_000
          done));
-  for i = 1 to n - 1 do
+  for i = 1 to active do
     let id, mi = ids.(i) in
     let surrogate = Net.Cluster.import cluster ~node:id ~name:"hub" in
     ignore
@@ -496,11 +501,10 @@ let star_scenario ~engine ~nodes:n ~seed ~count () =
              K.Machine.send mi ~port:surrogate ~msg
            done))
   done;
-  let plan =
-    Fi.random_links ~seed ~horizon_ns:5_000_000 ~links:(n - 1) ~count:5
-      ~partitions:1
-  in
-  Net.Cluster.arm_links cluster plan;
+  if faults then
+    Net.Cluster.arm_links cluster
+      (Fi.random_links ~seed ~horizon_ns:5_000_000 ~links:(n - 1) ~count:5
+         ~partitions:1);
   let report = Net.Cluster.run cluster ~engine () in
   let streams =
     Array.map
@@ -519,23 +523,35 @@ let star_scenario ~engine ~nodes:n ~seed ~count () =
     snaps,
     Obs.Jout.to_string (Obs.Metrics.to_json merged) )
 
+(* Every draw also checks the all-busy, napless, faulty star at the same
+   size, seed and count. *)
 let prop_par_engine_identical =
   QCheck2.Test.make
     ~name:"par engine: 2- and 4-domain runs byte-identical to sequential"
     ~count:8
-    QCheck2.Gen.(triple (int_range 2 5) (int_range 0 10_000) (int_range 1 6))
-    (fun (n, seed, count) ->
-      let observe engine = star_scenario ~engine ~nodes:n ~seed ~count () in
-      let base = observe Net.Cluster.Seq in
-      List.for_all
-        (fun d -> observe (Net.Cluster.Par d) = base)
-        [ 2; 4 ])
+    QCheck2.Gen.(
+      tup6 (int_range 2 5) (int_range 1 4) bool bool (int_range 0 10_000)
+        (int_range 1 6))
+    (fun (n, active, faults, nap, seed, count) ->
+      let identical ~active ~faults ~nap =
+        let observe engine =
+          star_scenario ~engine ~nodes:n ~active ~faults ~nap ~seed ~count ()
+        in
+        let base = observe Net.Cluster.Seq in
+        List.for_all
+          (fun d -> observe (Net.Cluster.Par d) = base)
+          [ 2; 4 ]
+      in
+      identical ~active:(min active (n - 1)) ~faults ~nap
+      && identical ~active:(n - 1) ~faults:true ~nap:false)
 
 (* The bench scenario (bench/par_speedup.ml): a fault-free spoke cluster
    where each client spools compute-heavy jobs to the hub.  The speedup
    number is only meaningful if both engines produce the same run, so the
-   parity is pinned here as a unit test too. *)
-let spool_scenario ~engine ~clients ~jobs () =
+   parity is pinned here as a unit test too.  [active] clients spool (the
+   rest stay idle, so most rounds find at most one node with work) and
+   [fault_seed] arms a link-fault plan. *)
+let spool_scenario ~engine ~clients ?(active = clients) ?fault_seed ~jobs () =
   let cluster = Net.Cluster.create () in
   let config =
     {
@@ -557,10 +573,10 @@ let spool_scenario ~engine ~clients ~jobs () =
   Net.Cluster.export cluster ~node:hub ~name:"spool" home;
   ignore
     (K.Machine.spawn mhub ~name:"printshop" (fun () ->
-         for _ = 1 to clients * jobs do
+         for _ = 1 to active * jobs do
            ignore (K.Machine.receive mhub ~port:home)
          done));
-  for i = 1 to clients do
+  for i = 1 to active do
     let id, mi = ids.(i) in
     let surrogate = Net.Cluster.import cluster ~node:id ~name:"spool" in
     ignore
@@ -571,6 +587,12 @@ let spool_scenario ~engine ~clients ~jobs () =
              K.Machine.send mi ~port:surrogate ~msg
            done))
   done;
+  Option.iter
+    (fun seed ->
+      Net.Cluster.arm_links cluster
+        (Fi.random_links ~seed ~horizon_ns:5_000_000 ~links:clients ~count:5
+           ~partitions:1))
+    fault_seed;
   let report = Net.Cluster.run cluster ~engine () in
   let streams =
     Array.map
@@ -581,14 +603,35 @@ let spool_scenario ~engine ~clients ~jobs () =
   (report, streams, snaps)
 
 let test_par_bench_scenario_parity () =
-  let seq = spool_scenario ~engine:Net.Cluster.Seq ~clients:3 ~jobs:4 () in
-  let par2 = spool_scenario ~engine:(Net.Cluster.Par 2) ~clients:3 ~jobs:4 () in
-  let par4 = spool_scenario ~engine:(Net.Cluster.Par 4) ~clients:3 ~jobs:4 () in
-  Alcotest.(check bool) "2 domains match sequential" true (par2 = seq);
-  Alcotest.(check bool) "4 domains match sequential" true (par4 = seq);
-  let report, _, _ = seq in
-  Alcotest.(check int) "all jobs crossed the wire" 12
-    report.Net.Cluster.frames_delivered
+  (* All three clients busy, then a 5-node cluster where one or two
+     clients spool and the rest idle, with and without link faults. *)
+  List.iter
+    (fun (clients, active, fault_seed) ->
+      let label s =
+        Printf.sprintf "%d/%d clients%s: %s" active clients
+          (if fault_seed = None then "" else ", link faults")
+          s
+      in
+      let observe engine =
+        spool_scenario ~engine ~clients ~active ?fault_seed ~jobs:4 ()
+      in
+      let seq = observe Net.Cluster.Seq in
+      Alcotest.(check bool) (label "2 domains match sequential") true
+        (observe (Net.Cluster.Par 2) = seq);
+      Alcotest.(check bool) (label "4 domains match sequential") true
+        (observe (Net.Cluster.Par 4) = seq);
+      if fault_seed = None then begin
+        let report, _, _ = seq in
+        Alcotest.(check int) (label "all jobs crossed the wire") (active * 4)
+          report.Net.Cluster.frames_delivered
+      end)
+    [
+      (3, 3, None);
+      (4, 1, None);
+      (4, 2, None);
+      (4, 1, Some 7);
+      (4, 2, Some 7);
+    ]
 
 (* ---------------- Whole-node failure and rejoin ---------------- *)
 
@@ -926,9 +969,43 @@ let test_par_exec_lowest_failure_wins () =
          Alcotest.fail "expected Boom"
        with Boom i -> Alcotest.(check int) "lowest failing index" 1 i);
       (* A failed batch leaves the pool healthy. *)
-      let ok = ref 0 in
-      Net.Par_exec.run pool ~tasks:5 (fun _ -> incr ok);
-      Alcotest.(check bool) "pool survives a failure" true (!ok >= 1))
+      let hits = Array.make 5 0 in
+      Net.Par_exec.run pool ~tasks:5 (fun i -> hits.(i) <- hits.(i) + 1);
+      Alcotest.(check (list int))
+        "pool survives a failure: each task exactly once"
+        [ 1; 1; 1; 1; 1 ] (Array.to_list hits))
+
+(* The handoff: batches posted back to back (workers still spinning) and
+   after the workers have parked both run every index exactly once, and
+   shutdown returns from either state.  Every check runs at 2 domains and
+   at 4, where a 2-core host parks without spinning. *)
+let test_par_exec_handoff () =
+  let once pool ~tasks =
+    let hits = Array.make tasks 0 in
+    Net.Par_exec.run pool ~tasks (fun i -> hits.(i) <- hits.(i) + 1);
+    Array.for_all (( = ) 1) hits
+  in
+  (* Past the spin bound, so every worker is parked on its condition. *)
+  let let_workers_park () = Unix.sleepf 0.02 in
+  List.iter
+    (fun domains ->
+      let label s = Printf.sprintf "%d domains: %s" domains s in
+      let pool = Net.Par_exec.create ~domains in
+      let lost = ref 0 in
+      for k = 1 to 10_000 do
+        if not (once pool ~tasks:(1 + (k mod 4))) then incr lost
+      done;
+      Alcotest.(check int) (label "back-to-back batches lose no index") 0 !lost;
+      let_workers_park ();
+      Alcotest.(check bool) (label "batch after the workers parked") true
+        (once pool ~tasks:8);
+      (* Straight after a batch the workers are still spinning. *)
+      Net.Par_exec.shutdown pool;
+      let pool = Net.Par_exec.create ~domains in
+      Alcotest.(check bool) (label "fresh pool") true (once pool ~tasks:3);
+      let_workers_park ();
+      Net.Par_exec.shutdown pool)
+    [ 2; 4 ]
 
 let test_metrics_single_writer () =
   let r = Obs.Metrics.create () in
@@ -1032,6 +1109,8 @@ let suite =
       test_par_exec_runs_every_task;
     Alcotest.test_case "par: lowest-index failure re-raised" `Quick
       test_par_exec_lowest_failure_wins;
+    Alcotest.test_case "par: handoff spins, parks and shuts down" `Quick
+      test_par_exec_handoff;
     Alcotest.test_case "par: metrics registry single-writer" `Quick
       test_metrics_single_writer;
     Alcotest.test_case "par: metrics merge is deterministic" `Quick
