@@ -1503,12 +1503,14 @@ let loadgen_cmd =
 (* Swap: the virtual-memory tier end to end.  A multiuser touch workload
    runs against a swapping memory manager whose resident set is bounded
    by --ram-bytes and whose evicted segment images live in a store-backed
-   swap device (journaled, CRC-framed, compacted in virtual time).  Every
-   read verifies the payload written at allocation, so a corrupt image
-   cannot go unnoticed.  --check re-runs the seed on a fresh journal and
-   compares event streams, then kills a third run mid-swap, checkpoints
-   it, restores by replay, and requires the resumed stream to be
-   bit-identical to the straight run's. *)
+   swap device (journaled, CRC-framed, compacted in virtual time).  Users
+   read with plain accesses: an evicted object faults in inside the read.
+   Every read verifies the payload written at allocation, so a corrupt
+   image cannot go unnoticed, and the resident set must sit inside the
+   envelope at every touch end.  --check re-runs the seed on a fresh
+   journal and compares event streams, then kills a third run mid-swap,
+   checkpoints it, restores by replay, and requires the resumed stream
+   to be bit-identical to the straight run's. *)
 let scenario_swap config path policy objects object_bytes users touches
     ram_bytes seed kill_ns chrome_out check =
   if objects <= 0 then die "--objects %d: need at least one object" objects;
@@ -1526,6 +1528,7 @@ let scenario_swap config path policy objects object_bytes users touches
   let stores = ref [] in
   let errors = ref 0 in
   let verified = ref 0 in
+  let over_envelope = ref 0 in
   let boot_sys () =
     incr boots;
     let jp = if !boots = 1 then path else Printf.sprintf "%s.%d" path !boots in
@@ -1540,6 +1543,7 @@ let scenario_swap config path policy objects object_bytes users touches
     stores := store :: !stores;
     errors := 0;
     verified := 0;
+    over_envelope := 0;
     let sys =
       System.boot
         ~config:
@@ -1577,17 +1581,14 @@ let scenario_swap config path policy objects object_bytes users touches
              for _ = 1 to touches do
                let i = U.Prng.int prng objects in
                let o = objs.(i) in
-               (* Fault-and-retry: a preemption between the touch and the
-                  read can let another user's fault-in evict [o] again. *)
-               let rec read_back () =
-                 System.mm_touch sys o;
-                 match K.Machine.read_word m o ~offset:0 with
-                 | v -> v
-                 | exception Fault.Fault (Fault.Segment_swapped_out _) ->
-                   read_back ()
-               in
-               if read_back () <> i + 1 then incr errors;
+               (* The touch is the policies' recency hint; an absent [o]
+                  faults in inside the read itself. *)
+               System.mm_touch sys o;
+               if K.Machine.read_word m o ~offset:0 <> i + 1 then incr errors;
                incr verified;
+               (match System.mm_resident_bytes sys with
+               | Some b when b > ram_bytes -> incr over_envelope
+               | _ -> ());
                K.Machine.compute m 4
              done))
     done;
@@ -1598,6 +1599,7 @@ let scenario_swap config path policy objects object_bytes users touches
   let report = System.run sys in
   let straight_stream = stream m in
   let straight_errors = !errors and straight_verified = !verified in
+  let straight_over = !over_envelope in
   Printf.printf "swap: %s policy, %d objects x %d B = %d KB working set\n"
     (System.memory_choice_to_string policy)
     objects object_bytes (ws / 1024);
@@ -1621,7 +1623,10 @@ let scenario_swap config path policy objects object_bytes users touches
       (b / 1024) (ram_bytes / 1024);
     if b > ram_bytes then
       die "swap: resident set (%d B) exceeds the RAM envelope (%d B)" b
-        ram_bytes
+        ram_bytes;
+    if straight_over > 0 then
+      die "swap: resident set over the RAM envelope at %d of %d touch ends"
+        straight_over straight_verified
   | _ -> ());
   (match System.mm_device sys with
   | Some dev ->

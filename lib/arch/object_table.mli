@@ -37,8 +37,13 @@ val lookup : t -> int -> entry
 val entry_of_access : t -> Access.t -> entry
 val is_valid : t -> int -> bool
 
+(** The largest access part, in access descriptors: the 432 limits an
+    object's access part to 16 K ADs (§2). *)
+val max_access_length : int
+
 (** Low-level descriptor allocation; normally reached through {!Sro.allocate}.
-    Data part is limited to 64 KB, per the architecture. *)
+    Data part is limited to 64 KB and the access part to
+    {!max_access_length} ADs, per the architecture. *)
 val allocate_entry :
   t ->
   otype:Obj_type.t ->

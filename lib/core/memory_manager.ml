@@ -60,8 +60,11 @@ module type S = sig
   (** Explicit release (garbage collection frees the rest). *)
   val free : t -> Access.t -> unit
 
-  (** Touch an object before direct data access: the swapping implementation
-      brings the segment in; the non-swapping one checks validity only. *)
+  (** The recency hint: note that the object is in use.  The swapping
+      implementation brings an absent segment in and refreshes the
+      object's recency for its victim policy; the non-swapping one checks
+      validity only.  Not needed for correctness: an access to an absent
+      segment faults to the swapping manager by itself. *)
   val touch : t -> Access.t -> unit
 
   (** The common interface ends here; [stats] is the per-implementation
@@ -159,32 +162,6 @@ module Swapping = struct
   }
 
   let name t = "swapping/" ^ t.policy_name
-
-  let create_with ?(policy = Vm.Policy.Lru) ?ram_bytes
-      ?(device = Vm.Swap_device.in_memory ()) machine ~heap_bytes =
-    let c = Obs.Metrics.counter (K.Machine.metrics machine) in
-    let ins = c "swap.ins" in
-    let outs = c "swap.outs" in
-    let faults = c "swap.faults" in
-    let bytes_in = c "swap.bytes_in" in
-    let bytes_out = c "swap.bytes_out" in
-    let heap = K.Machine.create_local_sro machine ~level:0 ~bytes:heap_bytes in
-    {
-      machine;
-      heap;
-      locals = Hashtbl.create 4;
-      rset = Vm.Resident_set.create ~policy ?ram_bytes ();
-      dev = device;
-      policy_name = Vm.Policy.to_string policy;
-      ins;
-      outs;
-      faults;
-      bytes_in;
-      bytes_out;
-      st = fresh_stats ();
-    }
-
-  let create machine ~heap_bytes = create_with machine ~heap_bytes
 
   let device t = t.dev
   let ram_bytes t = Vm.Resident_set.ram_bytes t.rset
@@ -303,14 +280,17 @@ module Swapping = struct
           e.Object_table.swapped_out <- false;
           e.Object_table.dirty <- false;
           note_resident t index;
+          (* Envelope before charge: the charge may preempt, and a
+             preempted swap-in must not leave the resident set over the
+             envelope while other processes run. *)
+          enforce_envelope t ~avoid:index;
           K.Machine.charge t.machine swap_in_ns;
           t.st.swap_ins <- t.st.swap_ins + 1;
           Obs.Metrics.incr t.ins;
           Obs.Metrics.incr ~by:size t.bytes_in;
           K.Machine.emit_event t.machine
             ~name:(Vm.Swap_device.name t.dev)
-            ~a:index ~b:size Obs.Event.Swap_in;
-          enforce_envelope t ~avoid:index)
+            ~a:index ~b:size Obs.Event.Swap_in)
     end
 
   (* A recycled descriptor index must not inherit a stale retained image:
@@ -376,6 +356,38 @@ module Swapping = struct
     end;
     Vm.Resident_set.touch t.rset ~index:e.Object_table.index
       ~now:(K.Machine.now t.machine)
+
+  let create_with ?(policy = Vm.Policy.Lru) ?ram_bytes
+      ?(device = Vm.Swap_device.in_memory ()) machine ~heap_bytes =
+    let c = Obs.Metrics.counter (K.Machine.metrics machine) in
+    let ins = c "swap.ins" in
+    let outs = c "swap.outs" in
+    let faults = c "swap.faults" in
+    let bytes_in = c "swap.bytes_in" in
+    let bytes_out = c "swap.bytes_out" in
+    let heap = K.Machine.create_local_sro machine ~level:0 ~bytes:heap_bytes in
+    let t =
+      {
+        machine;
+        heap;
+        locals = Hashtbl.create 4;
+        rset = Vm.Resident_set.create ~policy ?ram_bytes ();
+        dev = device;
+        policy_name = Vm.Policy.to_string policy;
+        ins;
+        outs;
+        faults;
+        bytes_in;
+        bytes_out;
+        st = fresh_stats ();
+      }
+    in
+    (* Swapping is invisible (§6.2): an access to an absent segment
+       faults to [touch], and the instruction restarts. *)
+    K.Machine.set_swap_handler machine (Some (touch t));
+    t
+
+  let create machine ~heap_bytes = create_with machine ~heap_bytes
 
   let stats t = t.st
 end

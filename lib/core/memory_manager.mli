@@ -4,8 +4,9 @@
     The common interface is the module type {!S}; the system is configured
     by selecting one implementation (see {!System}).  It covers the three
     allocation mechanisms of §5 — stack (per-level local heaps), global
-    heap, and local heap — plus explicit release and the presence [touch]
-    the swapping implementation needs. *)
+    heap, and local heap — plus explicit release and the [touch] recency
+    hint.  Swapping is invisible behind it: callers need not know which
+    implementation runs. *)
 
 open I432
 module K := I432_kernel
@@ -38,7 +39,9 @@ module type S = sig
 
   val free : t -> Access.t -> unit
 
-  (** Bring the segment in (swapping) or just validate (non-swapping). *)
+  (** The recency hint the LRU and level-aware policies read: bring the
+      segment in and refresh its recency (swapping), or just validate
+      (non-swapping).  Not needed for correctness. *)
   val touch : t -> Access.t -> unit
 
   (** The per-implementation management interface the paper allows. *)
@@ -49,9 +52,15 @@ end
 module Nonswapping : S
 
 (** The second release: segments move to a swap device under pressure
-    and return on [touch]; direct access to an absent segment faults with
-    [Segment_swapped_out].  Swap-in and swap-out each charge 0.4 ms, a
-    fast backing store.
+    and return on first use.  [create_with] installs [touch] as the
+    machine's swap handler ({!I432_kernel.Machine.set_swap_handler}), so
+    a checked access to an absent segment by a process at system level 3
+    or above faults to this manager, which swaps it in, and the access
+    restarts; below level 3 it stays a [Segment_swapped_out] fault and
+    the kernel panics (§7.3).  Swap-in enforces the RAM envelope before
+    it charges, so a swap-in preempted by its own charge never leaves the
+    resident set over the envelope.  Swap-in and swap-out each charge
+    0.4 ms, a fast backing store.
 
     There is one swap-in/swap-out path, whatever the device: every
     manager creates the [swap.ins]/[swap.outs]/[swap.faults]/

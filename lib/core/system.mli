@@ -51,6 +51,11 @@ val mm_allocate :
   t -> data_length:int -> access_length:int -> otype:Obj_type.t -> Access.t
 
 val mm_free : t -> Access.t -> unit
+
+(** The recency hint: tell the memory manager the object is in use, so
+    the LRU and level-aware victim policies see it as recent.  Not needed
+    for correctness: under a swapping manager a plain access to an
+    evicted object faults it in by itself. *)
 val mm_touch : t -> Access.t -> unit
 val mm_stats : t -> Memory_manager.stats
 val mm_name : t -> string

@@ -126,6 +126,9 @@ type t = {
   mutable timed_waiters : int;  (* processes blocked with a deadline *)
   mutable reclaim_hook : (unit -> int) option;  (* allocate_retry's GC *)
   mutable fault_hook : (Process.t -> Fault.cause -> unit) option;
+  (* The memory manager's fault-in for absent segments (§6.2), installed
+     by a swapping manager; [None] leaves [Segment_swapped_out] a fault. *)
+  mutable swap_handler : (Access.t -> unit) option;
   (* Idempotency keys of applied transaction groups (Txn_try).  Part of
      the machine's replayed state: a checkpoint restore re-executes the
      same commits and rebuilds the same set, so a retried group can never
@@ -221,6 +224,7 @@ let create ?(config = default_config) () =
     timed_waiters = 0;
     reclaim_hook = None;
     fault_hook = None;
+    swap_handler = None;
     txn_applied = Hashtbl.create 16;
     stepper = None;
   }
@@ -248,6 +252,7 @@ let online_processors t =
 
 let set_reclaim_hook t hook = t.reclaim_hook <- hook
 let set_fault_hook t hook = t.fault_hook <- hook
+let set_swap_handler t handler = t.swap_handler <- handler
 
 (* Applied transaction keys, ascending (snapshot images and tests). *)
 let txn_applied_keys t =
@@ -358,37 +363,91 @@ let charge t ns =
 
 let compute t units = charge t (units * t.timings.Timings.compute_unit_ns)
 
+(* The process currently executing on the charging processor, if any. *)
+let running_process t =
+  match t.current with
+  | Some p -> (
+    match p.Processor.current with
+    | Some pi -> Some (Process.state_of_index t.table pi)
+    | None -> None)
+  | None -> None
+
+(* The one fault path for absent segments (§6.2, §7.3).  A checked
+   access to a swapped-out segment calls the installed memory manager,
+   which brings the segment in, and the instruction restarts; the restart
+   repeats only the access, not its charge.  A process below system level
+   3 may not fault (§7.3), so there the fault stays a fault and
+   [record_fault] panics the machine.  The hit path installs one exception
+   handler and allocates nothing. *)
+let usable_swap_handler t =
+  match (t.swap_handler, running_process t) with
+  | Some _, Some proc when proc.Process.system_level < 3 -> None
+  | handler, _ -> handler
+
+let fault_in t access =
+  match usable_swap_handler t with
+  | Some handler -> handler access
+  | None -> Fault.raise_fault (Fault.Segment_swapped_out (Access.index access))
+
+let rec present t access op x =
+  match op t access x with
+  | r -> r
+  | exception Fault.Fault (Fault.Segment_swapped_out _) ->
+    fault_in t access;
+    present t access op x
+
+let rec present2 t access op x y =
+  match op t access x y with
+  | r -> r
+  | exception Fault.Fault (Fault.Segment_swapped_out _) ->
+    fault_in t access;
+    present2 t access op x y
+
 let read_word t access ~offset =
   charge t t.timings.Timings.read_word_ns;
-  Segment.read_i32 t.table t.memory access ~offset
+  present t access
+    (fun t a offset -> Segment.read_i32 t.table t.memory a ~offset)
+    offset
 
 let write_word t access ~offset v =
   charge t t.timings.Timings.write_word_ns;
-  Segment.write_i32 t.table t.memory access ~offset v
+  present2 t access
+    (fun t a offset v -> Segment.write_i32 t.table t.memory a ~offset v)
+    offset v
 
 let read_byte t access ~offset =
   charge t t.timings.Timings.read_word_ns;
-  Segment.read_u8 t.table t.memory access ~offset
+  present t access
+    (fun t a offset -> Segment.read_u8 t.table t.memory a ~offset)
+    offset
 
 let write_byte t access ~offset v =
   charge t t.timings.Timings.write_word_ns;
-  Segment.write_u8 t.table t.memory access ~offset v
+  present2 t access
+    (fun t a offset v -> Segment.write_u8 t.table t.memory a ~offset v)
+    offset v
 
 let read_bytes t access ~offset ~len =
   charge t (t.timings.Timings.read_word_ns * (1 + (len / 4)));
-  Segment.read_bytes t.table t.memory access ~offset ~len
+  present2 t access
+    (fun t a offset len -> Segment.read_bytes t.table t.memory a ~offset ~len)
+    offset len
 
 let write_bytes t access ~offset src =
   charge t (t.timings.Timings.write_word_ns * (1 + (Bytes.length src / 4)));
-  Segment.write_bytes t.table t.memory access ~offset src
+  present2 t access
+    (fun t a offset src -> Segment.write_bytes t.table t.memory a ~offset src)
+    offset src
 
 let load_access t access ~slot =
   charge t t.timings.Timings.move_access_ns;
-  Segment.load_access t.table access ~slot
+  present t access (fun t a slot -> Segment.load_access t.table a ~slot) slot
 
 let store_access t access ~slot v =
   charge t t.timings.Timings.move_access_ns;
-  Segment.store_access t.table access ~slot v
+  present2 t access
+    (fun t a slot v -> Segment.store_access t.table a ~slot v)
+    slot v
 
 (* The create-object instruction (§5): ~80 us. *)
 let allocate t sro ~data_length ~access_length ~otype =
@@ -479,15 +538,6 @@ let intra_call t f =
   charge t t.timings.Timings.intra_return_ns;
   v
 
-(* The process currently executing on the charging processor, if any. *)
-let running_process t =
-  match t.current with
-  | Some p -> (
-    match p.Processor.current with
-    | Some pi -> Some (Process.state_of_index t.table pi)
-    | None -> None)
-  | None -> None
-
 (* Bounded retry around [allocate]: on [Storage_exhausted], run the
    registered reclaim hook (a GC cycle, when the system wires one), back
    off for [backoff_ns] of virtual time (doubling each attempt), and try
@@ -568,6 +618,14 @@ let set_fault_port t port =
 
 let create_port t ?(sro = None) ~capacity ~discipline () =
   if capacity < 1 then invalid_arg "Machine.create_port: capacity";
+  (* A port's queue is its access part (§4), so its capacity is bounded
+     by the access-part limit. *)
+  if capacity > Object_table.max_access_length then
+    invalid_arg
+      (Printf.sprintf
+         "Machine.create_port: capacity %d exceeds the 432's %d-AD \
+          access-part limit"
+         capacity Object_table.max_access_length);
   let sro = match sro with Some s -> s | None -> t.global_sro in
   let access =
     allocate t sro ~data_length:0 ~access_length:capacity ~otype:Obj_type.Port
@@ -893,7 +951,21 @@ let exit_process (_ : t) =
 
 (* One atomic attempt at a multi-port transaction group; never blocks.
    Retry/abort policy lives above the kernel (I432_txn.Txn). *)
-let txn_try (_ : t) ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
+let txn_try t ~key ?(receives = []) ?(sends = []) ?(writes = []) () =
+  (* Write targets are faulted in before the syscall.  Where no handler
+     may run, and for a target evicted again in between, the kernel's
+     validation reports the conflict [swapped]. *)
+  (match usable_swap_handler t with
+  | Some handler ->
+    List.iter
+      (fun (a, _, _) ->
+        let i = Access.index a in
+        if
+          Object_table.is_valid t.table i
+          && (Object_table.lookup t.table i).Object_table.swapped_out
+        then handler a)
+      writes
+  | None -> ());
   match
     Syscall.perform
       (Syscall.Txn_try

@@ -84,7 +84,20 @@ val now : t -> int
     No-op outside the run loop. *)
 val charge : t -> int -> unit
 
-(** {1 Charged instruction wrappers} *)
+(** {1 Charged instruction wrappers}
+
+    Every accessor below, and {!txn_try}'s write targets, take one fault
+    path for a swapped-out segment: the handler installed with
+    {!set_swap_handler} brings it in and the access restarts, so a caller
+    at system level 3 or above never sees [Segment_swapped_out].  Below
+    level 3, or with no handler, the access faults (§7.3: such a process
+    panics the machine). *)
+
+(** Install (or, with [None], remove) the memory manager's fault-in for
+    absent segments, replacing any earlier one: a machine has one
+    swapping manager.  [Memory_manager.Swapping.create_with] installs its
+    [touch]; a non-swapping machine has none. *)
+val set_swap_handler : t -> (Access.t -> unit) option -> unit
 
 val compute : t -> int -> unit
 val read_word : t -> Access.t -> offset:int -> int
@@ -229,8 +242,11 @@ val exit_process : t -> 'a
     object in deterministic (ascending index) order.  Never blocks.  A
     nonzero [key] makes the group idempotent: a key that already
     committed skips receives and writes and re-issues the sends
-    best-effort ([fresh = false]).  Retry/abort policy lives above the
-    kernel ({!I432_txn.Txn}). *)
+    best-effort ([fresh = false]).  A swapped-out write target takes the
+    accessors' fault path before the attempt; where no handler may run,
+    or when the target is evicted again before validation, the group
+    conflicts with reason ["swapped"].  Retry/abort policy lives above
+    the kernel ({!I432_txn.Txn}). *)
 val txn_try :
   t ->
   key:int ->

@@ -201,6 +201,12 @@ let gather ~transfers ~bank ~completions:(distinct, dups, lats) ~accts =
     balances;
   }
 
+(* The completion port holds every completion a run can have in flight,
+   up to the access-part limit; past it, a full port back-pressures the
+   tellers through the txn [full] conflict and retry while the auditor
+   drains. *)
+let done_capacity wanted = min wanted Object_table.max_access_length
+
 let split_transfers ~transfers ~workers w =
   (transfers / workers) + (if w < transfers mod workers then 1 else 0)
 
@@ -229,7 +235,7 @@ let run ?(processors = 2) ?(workers = 4) ?(pace_ns = 5_000) ?(trace = true)
       Some h
   in
   let done_port =
-    K.Machine.create_port machine ~capacity:(transfers + 8)
+    K.Machine.create_port machine ~capacity:(done_capacity (transfers + 8))
       ~discipline:K.Port.Fifo ()
   in
   let c = make_collector () in
@@ -286,7 +292,8 @@ let run_cluster ?(processors = 1) ?(workers = 4) ?(pace_ns = 20_000)
     in
     ignore (Net.Cluster.connect cluster bank_id audit_id);
     let done_home =
-      K.Machine.create_port audit ~capacity:((2 * transfers) + 8)
+      K.Machine.create_port audit
+        ~capacity:(done_capacity ((2 * transfers) + 8))
         ~discipline:K.Port.Fifo ()
     in
     Net.Cluster.export cluster ~node:audit_id ~name:"done" done_home;

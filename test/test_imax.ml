@@ -424,23 +424,53 @@ let test_mm_swapping_preserves_content () =
   let _ = System.run sys in
   Alcotest.(check int) "content preserved across swap" 424242 !got
 
-let test_mm_swapping_faults_without_touch () =
+(* An object evicted behind a reader's back: [first] is written, then
+   eight more 1 KB allocations on a 4 KB heap push it out. *)
+let evicted_object () =
   let sys = boot ~memory_manager:System.Swapping_lru ~heap_bytes:4096 () in
   let m = System.machine sys in
   let first =
     System.mm_allocate sys ~data_length:1024 ~access_length:0
       ~otype:Obj_type.Generic
   in
+  K.Machine.write_word m first ~offset:0 424242;
   let _rest =
     List.init 8 (fun _ ->
         System.mm_allocate sys ~data_length:1024 ~access_length:0
           ~otype:Obj_type.Generic)
   in
+  let e = Object_table.entry_of_access (K.Machine.table m) first in
+  Alcotest.(check bool) "was swapped out" true e.Object_table.swapped_out;
+  (sys, first)
+
+(* §6.2: swapping is invisible.  A user process reads the evicted object
+   with a plain access and no [mm_touch]; the read faults to the memory
+   manager, which brings the segment in, and the read restarts. *)
+let test_mm_swapping_user_read_faults_in () =
+  let sys, first = evicted_object () in
+  let m = System.machine sys in
+  let got = ref 0 in
   ignore
     (K.Machine.spawn m ~name:"reader" (fun () ->
-         ignore (K.Machine.read_word m first ~offset:0)));
+         got := K.Machine.read_word m first ~offset:0));
   let r = System.run sys in
-  Alcotest.(check int) "absent segment faults" 1 r.K.Machine.faulted
+  Alcotest.(check int) "nothing faulted" 0 r.K.Machine.faulted;
+  Alcotest.(check int) "content read back" 424242 !got;
+  Alcotest.(check int) "swapped in once" 1
+    (System.mm_stats sys).Memory_manager.swap_ins
+
+(* §7.3: below system level 3 a process may not fault, and an absent
+   segment is still a fault there — the kernel panics. *)
+let test_mm_swapping_level2_read_panics () =
+  let sys, first = evicted_object () in
+  let m = System.machine sys in
+  ignore
+    (Levels.spawn m ~level:Levels.Level2 ~name:"reader" (fun () ->
+         ignore (K.Machine.read_word m first ~offset:0)));
+  Alcotest.(check bool) "kernel panic" true
+    (match System.run sys with
+    | _ -> false
+    | exception K.Machine.Kernel_panic _ -> true)
 
 let test_mm_fifo_policy_selectable () =
   let sys = boot ~memory_manager:System.Swapping_fifo () in
@@ -692,7 +722,12 @@ let suite =
     ("mm nonswapping exhausts", `Quick, test_mm_nonswapping_exhausts);
     ("mm swapping survives overcommit", `Quick, test_mm_swapping_survives_overcommit);
     ("mm swapping preserves content", `Quick, test_mm_swapping_preserves_content);
-    ("mm swapping faults without touch", `Quick, test_mm_swapping_faults_without_touch);
+    ( "mm swapping: user read faults in",
+      `Quick,
+      test_mm_swapping_user_read_faults_in );
+    ( "mm swapping: level-2 read panics",
+      `Quick,
+      test_mm_swapping_level2_read_panics );
     ("mm fifo policy selectable", `Quick, test_mm_fifo_policy_selectable);
     ("device common interface", `Quick, test_device_common_interface);
     ("device closed rejects", `Quick, test_device_closed_rejects);

@@ -79,6 +79,47 @@ let test_all_or_nothing () =
   let drained = K.Machine.drain_port m ~port:out () in
   Alcotest.(check int) "send applied once" 1 (List.length drained)
 
+(* A write target the swapping manager evicted is faulted in before the
+   attempt, so the group commits; with no handler to run (here removed),
+   the kernel's own validation still conflicts with reason [swapped]. *)
+let test_swapped_write_target () =
+  let m = mk () in
+  let mm = Imax.Memory_manager.Swapping.create_with m ~heap_bytes:4096 in
+  let alloc () =
+    Imax.Memory_manager.Swapping.allocate mm ~data_length:1024
+      ~access_length:0 ~otype:I432.Obj_type.Generic
+  in
+  let evict_all () = ignore (List.init 8 (fun _ -> alloc ())) in
+  let swapped a =
+    (I432.Object_table.entry_of_access (K.Machine.table m) a)
+      .I432.Object_table.swapped_out
+  in
+  let cell = alloc () in
+  evict_all ();
+  Alcotest.(check bool) "target swapped out" true (swapped cell);
+  let commit word =
+    let outcome = ref None in
+    ignore
+      (K.Machine.spawn m ~name:"t" (fun () ->
+           let g = Txn.group () in
+           Txn.write g cell ~offset:0 ~word;
+           outcome := Some (Txn.commit m ~retries:2 g)));
+    ignore (K.Machine.run m);
+    Option.get !outcome
+  in
+  (match commit 42 with
+  | Txn.Committed { attempts; _ } ->
+    Alcotest.(check int) "first attempt" 1 attempts
+  | o -> Alcotest.fail (Txn.outcome_to_string o));
+  Alcotest.(check int) "write applied" 42 (K.Machine.read_word m cell ~offset:0);
+  evict_all ();
+  Alcotest.(check bool) "target evicted again" true (swapped cell);
+  K.Machine.set_swap_handler m None;
+  match commit 7 with
+  | Txn.Aborted { reason; _ } ->
+    Alcotest.(check string) "kernel validation" "swapped" reason
+  | o -> Alcotest.fail (Txn.outcome_to_string o)
+
 (* A keyed group that already committed skips receives and writes and
    re-issues its sends with the same per-send tags. *)
 let test_duplicate_key () =
@@ -129,6 +170,26 @@ let test_banking_conserves () =
   in
   Alcotest.(check bool) "some transfers committed" true (r.Banking.committed > 0);
   check_exactly_once r
+
+(* Past 16 376 transfers the completion port would exceed the 432's
+   16 K-AD access part: it is capped there, and the run still completes,
+   conserves, and accounts for every requested transfer. *)
+let test_banking_port_capped () =
+  let transfers = 16_400 in
+  let _, _, r =
+    Banking.run ~trace:false ~accounts:8 ~transfers ~seed:5 ()
+  in
+  check_exactly_once r;
+  Alcotest.(check int) "committed + aborted = requested" transfers
+    (r.Banking.committed + r.Banking.aborted);
+  Alcotest.check_raises "over-limit port names the limit"
+    (Invalid_argument
+       "Machine.create_port: capacity 16385 exceeds the 432's 16384-AD \
+        access-part limit")
+    (fun () ->
+      ignore
+        (K.Machine.create_port (mk ()) ~capacity:16_385
+           ~discipline:K.Port.Fifo ()))
 
 (* Same seed, same machine shape: byte-identical state image and event
    stream — the scenario inherits the kernel's determinism. *)
@@ -324,6 +385,10 @@ let suite =
     Alcotest.test_case "txn: all-or-nothing" `Quick test_all_or_nothing;
     Alcotest.test_case "txn: duplicate key is idempotent" `Quick
       test_duplicate_key;
+    Alcotest.test_case "txn: swapped-out write target commits" `Quick
+      test_swapped_write_target;
+    Alcotest.test_case "banking: port capped at the AD limit" `Quick
+      test_banking_port_capped;
     Alcotest.test_case "banking: conserves and completes exactly once" `Quick
       test_banking_conserves;
     Alcotest.test_case "banking: same seed, same bytes" `Quick

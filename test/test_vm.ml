@@ -188,8 +188,10 @@ let nonswap_ops m =
     op_swap_outs = (fun () -> (MM.Nonswapping.stats mm).MM.swap_outs);
   }
 
-let swap_ops policy m =
-  let mm = MM.Swapping.create_with ~policy m ~heap_bytes:(1 lsl 20) in
+let swap_ops ?ram_bytes policy m =
+  let mm =
+    MM.Swapping.create_with ~policy ?ram_bytes m ~heap_bytes:(1 lsl 20)
+  in
   {
     op_alloc =
       (fun ~data_length ->
@@ -201,8 +203,10 @@ let swap_ops policy m =
   }
 
 (* Interpret one random script — slot-indexed allocate/touch/free with
-   reads folded into a checksum — against a manager. *)
-let run_script mk_ops script =
+   reads folded into a checksum — against a manager.  Without [touch] a
+   read is a plain access, with no [op_touch] first.  Returns the event
+   stream, the checksum, the swap-outs and the faulted processes. *)
+let run_script ?(touch = true) mk_ops script =
   let m = mk ~trace:true () in
   let ops = mk_ops m in
   let slots = Array.make 8 None in
@@ -223,7 +227,7 @@ let run_script mk_ops script =
              | 1 -> (
                match slots.(s) with
                | Some o ->
-                 ops.op_touch o;
+                 if touch then ops.op_touch o;
                  sum := !sum + K.Machine.read_word m o ~offset:0
                | None -> ())
              | _ -> (
@@ -234,25 +238,31 @@ let run_script mk_ops script =
                | None -> ()));
              K.Machine.compute m 1)
            script));
-  ignore (K.Machine.run m);
+  let report = K.Machine.run m in
   let stream = List.map Obs.Event.to_string (K.Machine.events m) in
-  (stream, !sum, ops.op_swap_outs ())
+  (stream, !sum, ops.op_swap_outs (), report.K.Machine.faulted)
 
 (* qcheck: on any workload whose live set fits in RAM, the swapping
    manager under every victim policy is observationally identical to the
    non-swapping one — same event stream byte for byte, same read-back
-   checksum — and it never evicts. *)
+   checksum — and it never evicts.  Over-committed (a 64-byte envelope,
+   a few segments at most) and with no touch before a read, swapping is
+   still invisible: the same checksum, and no process faults. *)
 let prop_swap_nonswap_equal =
   QCheck2.Test.make
     ~name:"swapping == non-swapping when the working set fits" ~count:60
     QCheck2.Gen.(
       list_size (int_range 1 60) (pair (int_range 0 2) (int_range 0 1000)))
     (fun script ->
-      let s_ns, sum_ns, _ = run_script nonswap_ops script in
+      let s_ns, sum_ns, _, _ = run_script nonswap_ops script in
       List.for_all
         (fun policy ->
-          let s_sw, sum_sw, outs = run_script (swap_ops policy) script in
-          s_ns = s_sw && sum_ns = sum_sw && outs = 0)
+          let s_sw, sum_sw, outs, _ = run_script (swap_ops policy) script in
+          let _, sum_oc, _, faulted =
+            run_script ~touch:false (swap_ops ~ram_bytes:64 policy) script
+          in
+          s_ns = s_sw && sum_ns = sum_sw && outs = 0 && sum_oc = sum_ns
+          && faulted = 0)
         Vm.Policy.all)
 
 (* ---------------- Swap-store crash sweep ---------------- *)
@@ -537,7 +547,8 @@ let test_gc_sweep_of_swapped_out () =
    random and verifying each object's payload.  Halving the envelope
    (1/2, 1/4, 1/8 of the working set) can only raise the fault rate per
    touch; no read ever comes back corrupt, and the resident set sits
-   inside the envelope at halt. *)
+   inside the envelope at every touch end and at halt.  Users read with
+   plain accesses: an evicted object faults in inside the read. *)
 let swap_point ~fraction =
   let objects = 4_000 and object_bytes = 32 and users = 4 and touches = 200 in
   let ram_bytes = objects * object_bytes / fraction in
@@ -573,45 +584,41 @@ let swap_point ~fraction =
             K.Machine.write_word m o ~offset:0 (i + 1);
             o)
       in
-      let corrupt = ref 0 and touched = ref 0 in
+      let corrupt = ref 0 and touched = ref 0 and over = ref 0 in
+      let resident () = Option.get (Imax.System.mm_resident_bytes sys) in
       for u = 1 to users do
         let prng = I432_util.Prng.create ~seed:(1009 + (u * 7919)) in
         ignore
           (K.Machine.spawn m ~name:(Printf.sprintf "user%d" u) (fun () ->
                for _ = 1 to touches do
                  let i = I432_util.Prng.int prng objects in
-                 (* A preemption between touch and read can let another
-                    user's fault-in evict the object again. *)
-                 let rec read_back () =
-                   Imax.System.mm_touch sys objs.(i);
-                   match K.Machine.read_word m objs.(i) ~offset:0 with
-                   | v -> v
-                   | exception Fault.Fault (Fault.Segment_swapped_out _) ->
-                     read_back ()
-                 in
-                 if read_back () <> i + 1 then incr corrupt;
+                 Imax.System.mm_touch sys objs.(i);
+                 if K.Machine.read_word m objs.(i) ~offset:0 <> i + 1 then
+                   incr corrupt;
                  incr touched;
+                 if resident () > ram_bytes then incr over;
                  K.Machine.compute m 4
                done))
       done;
       ignore (Imax.System.run sys);
-      let resident = Option.get (Imax.System.mm_resident_bytes sys) in
+      let over = if resident () > ram_bytes then !over + 1 else !over in
       Store.close store;
       ( float_of_int (counter_value m "swap.faults") /. float_of_int !touched,
         !corrupt,
-        resident,
+        over,
         ram_bytes ))
 
 let test_envelope_sweep () =
   let points = List.map (fun fraction -> swap_point ~fraction) [ 2; 4; 8 ] in
   List.iter
-    (fun (rate, corrupt, resident, ram_bytes) ->
+    (fun (rate, corrupt, over, ram_bytes) ->
       let at = Printf.sprintf " (envelope %d B)" ram_bytes in
       Alcotest.(check bool) ("faults per touch in (0, 1]" ^ at) true
         (rate > 0.0 && rate <= 1.0);
       Alcotest.(check int) ("no corrupt reads" ^ at) 0 corrupt;
-      Alcotest.(check bool) ("resident within envelope at halt" ^ at) true
-        (resident <= ram_bytes))
+      Alcotest.(check int)
+        ("touch ends and halt over the envelope" ^ at)
+        0 over)
     points;
   let rates = List.map (fun (rate, _, _, _) -> rate) points in
   Alcotest.(check bool)
