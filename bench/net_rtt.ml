@@ -6,9 +6,7 @@
    modelled latency is actually observable (a remote round trip costs two
    one-way link traversals of virtual time, a local one costs none).
 
-   Same paired-ratio discipline as Trace_overhead / Fi_overhead: ABBA
-   alternation, a major collection before every sample, median of the
-   per-pair ratios. *)
+   Host time is compared by the paired-ratio discipline of [Paired]. *)
 
 module K = I432_kernel
 module Obs = I432_obs
@@ -103,44 +101,16 @@ let measure ~smoke () =
   let n = if smoke then 100 else 400 in
   let virt_local = ref 0 in
   let virt_remote = ref 0 in
-  let once remote =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      if remote then virt_remote := remote_workload ~n ()
-      else virt_local := local_workload ~n ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let r =
+    Paired.measure ~trials ~batch
+      ~base:(fun () -> virt_local := local_workload ~n ())
+      ~variant:(fun () -> virt_remote := remote_workload ~n ())
   in
-  ignore (once false);
-  ignore (once true);
-  let local = ref infinity in
-  let remote = ref infinity in
-  let sample is_remote =
-    Gc.full_major ();
-    let ns = once is_remote in
-    if is_remote then (if ns < !remote then remote := ns)
-    else if ns < !local then local := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let l = sample false in
-          let r = sample true in
-          r /. l
-        end
-        else begin
-          let r = sample true in
-          let l = sample false in
-          r /. l
-        end)
-  in
-  Array.sort compare ratios;
   {
     roundtrips = n;
-    local_host_ns = !local;
-    remote_host_ns = !remote;
-    ratio = ratios.(trials / 2);
+    local_host_ns = r.Paired.base_ns;
+    remote_host_ns = r.Paired.variant_ns;
+    ratio = r.Paired.ratio;
     local_rtt_virtual_ns = float_of_int !virt_local /. float_of_int n;
     remote_rtt_virtual_ns = float_of_int !virt_remote /. float_of_int n;
   }

@@ -1,5 +1,5 @@
 (* Host wall-clock cost of the vm-tier swapping manager against the
-   seed swapping manager it replaced, with no swap device supplied: the
+   seed swapping manager it replaced, under no memory pressure: the
    canonical producer/consumer workload (the same shape Trace_overhead
    and Fi_overhead time) with every message object routed through the
    manager — allocate at the producer, touch at the consumer, free
@@ -10,14 +10,14 @@
    controller and the device's stale-image probes against the seed's
    list scans.  The gate below holds the vm tier
    under 1% over the seed — the new subsystem must not tax a system
-   that never configures a device — and in practice the ratio runs
+   that never swaps — and in practice the ratio runs
    negative: the seed scanned the resident list on every touch and
    rebuilt it on every free, the controller does neither.
 
    Virtual time is identical in both runs by construction (the managers
    charge identically, and with no pressure neither charges at all), so
-   only host time is compared, with the same paired-ratio discipline as
-   Trace_overhead. *)
+   only host time is compared, by the paired-ratio discipline of
+   [Paired]. *)
 
 module K = I432_kernel
 module MM = Imax.Memory_manager
@@ -126,63 +126,27 @@ let workload ~mk_ops ~messages () =
 type result = {
   messages : int;
   seed_ns : float;  (* whole-run wall clock, frozen seed manager *)
-  vm_ns : float;  (* same workload, vm-tier Swapping/lru, no device *)
+  vm_ns : float;  (* same workload, vm-tier Swapping/lru *)
   overhead_pct : float;
 }
 
 let measure ~smoke () =
   let messages = if smoke then 2_000 else 10_000 in
-  let once mk_ops =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      workload ~mk_ops ~messages ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  let r =
+    Paired.measure ~trials ~batch
+      ~base:(workload ~mk_ops:seed_ops ~messages)
+      ~variant:(workload ~mk_ops:vm_ops ~messages)
   in
-  ignore (once seed_ops);
-  ignore (once vm_ops);
-  let seed = ref infinity and vm = ref infinity in
-  (* Paired ratios, ABBA order, a major collection before every sample,
-     median over trials — the same discipline as the trace-overhead
-     harness, for the same reason: host-load drift hits both halves of a
-     pair alike, and the median rejects trials a GC pause landed in. *)
-  let sample_seed () =
-    Gc.full_major ();
-    let ns = once seed_ops in
-    if ns < !seed then seed := ns;
-    ns
-  in
-  let sample_vm () =
-    Gc.full_major ();
-    let ns = once vm_ops in
-    if ns < !vm then vm := ns;
-    ns
-  in
-  let ratios =
-    Array.init trials (fun i ->
-        if i mod 2 = 0 then begin
-          let s = sample_seed () in
-          let v = sample_vm () in
-          v /. s
-        end
-        else begin
-          let v = sample_vm () in
-          let s = sample_seed () in
-          v /. s
-        end)
-  in
-  Array.sort compare ratios;
-  let median_ratio = ratios.(trials / 2) in
   {
     messages;
-    seed_ns = !seed;
-    vm_ns = !vm;
-    overhead_pct = 100.0 *. (median_ratio -. 1.0);
+    seed_ns = r.Paired.base_ns;
+    vm_ns = r.Paired.variant_ns;
+    overhead_pct = Paired.overhead_pct r;
   }
 
 let print_summary r =
   Printf.printf
-    "Swap-path overhead, no device (%d messages through the mm): seed \
+    "Swap-path overhead, no pressure (%d messages through the mm): seed \
      manager %.2f ms, vm tier %.2f ms, %+.2f%%\n"
     r.messages (r.seed_ns /. 1e6) (r.vm_ns /. 1e6) r.overhead_pct
 
@@ -196,7 +160,7 @@ let to_json r =
       ("overhead_pct", Float r.overhead_pct);
     ]
 
-(* The PR-gate budget: with no device attached, the vm-tier manager
+(* The PR-gate budget: with nothing to evict, the vm-tier manager
    must cost < [limit_pct] wall clock over the seed manager it
    replaced. *)
 let limit_pct = 1.0

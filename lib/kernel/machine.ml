@@ -123,7 +123,6 @@ type t = {
   mutable inj_seq : int;
   mutable forced_alloc_faults : int;  (* armed by Inj_alloc_fault *)
   mutable pending_port_delay_ns : int;  (* armed by Inj_port_delay *)
-  mutable timed_waiters : int;  (* processes blocked with a deadline *)
   mutable reclaim_hook : (unit -> int) option;  (* allocate_retry's GC *)
   mutable fault_hook : (Process.t -> Fault.cause -> unit) option;
   (* The memory manager's fault-in for absent segments (§6.2), installed
@@ -221,7 +220,6 @@ let create ?(config = default_config) () =
     inj_seq = 0;
     forced_alloc_faults = 0;
     pending_port_delay_ns = 0;
-    timed_waiters = 0;
     reclaim_hook = None;
     fault_hook = None;
     swap_handler = None;
@@ -688,11 +686,7 @@ let proc_of t index = Process.state_of_index t.table index
 
 (* Resume a parked process with [result], disarming its deadline. *)
 let resume t (proc : Process.t) result =
-  (match proc.Process.timeout_at with
-  | Some _ ->
-    proc.Process.timeout_at <- None;
-    t.timed_waiters <- t.timed_waiters - 1
-  | None -> ());
+  proc.Process.deadline <- None;
   proc.Process.pending <- result;
   requeue t proc
 
@@ -762,7 +756,7 @@ let rec take t (p : Port.t) ~taker =
     | None -> None)
 
 (* Park [proc] at [p] until a transfer happens or, for [Within], until its
-   deadline (enforced by [fire_timeouts]).  A sender parks with its
+   deadline (enforced by [fire_deadlines]).  A sender parks with its
    message, a receiver without. *)
 let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ?msg wait =
   charge t t.timings.Timings.block_ns;
@@ -786,8 +780,7 @@ let park t (cpu : Processor.t) (proc : Process.t) (p : Port.t) ?msg wait =
     proc.Process.status <- Process.Blocked_receive p.Port.self);
   (match wait with
   | Syscall.Within ns ->
-    proc.Process.timeout_at <- Some (cpu.Processor.clock_ns + ns);
-    t.timed_waiters <- t.timed_waiters + 1
+    proc.Process.deadline <- Some (cpu.Processor.clock_ns + ns)
   | Syscall.Block | Syscall.Poll -> ());
   cpu.Processor.current <- None
 
@@ -829,8 +822,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
       stopped = false;
       priority;
       pending = Syscall.R_unit;
-      wake_at = 0;
-      timeout_at = None;
+      deadline = None;
       cpu_ns = 0;
       slice_used_ns = 0;
       last_ready_ns = 0;
@@ -860,7 +852,7 @@ let spawn t ?(priority = 8) ?(daemon = false) ?(system_level = 4)
        as a sleeper; the run loop readies it when the delay elapses. *)
     if ns < 0 then invalid_arg "Machine.spawn: start_after";
     proc.Process.status <- Process.Sleeping;
-    proc.Process.wake_at <- now t + ns);
+    proc.Process.deadline <- Some (now t + ns));
   access
 
 let process_state t access = Process.state_of t.table access
@@ -1079,11 +1071,13 @@ let handle_syscall t (cpu : Processor.t) (proc : Process.t) op =
     cpu.Processor.current <- None;
     false
   | Syscall.Delay ns ->
-    if ns < 0 then invalid_arg "delay: negative";
+    (* A negative delay is the caller's protocol error, faulted like any
+       other bad operand (and so a panic below level 3). *)
+    if ns < 0 then Fault.raise_fault (Fault.Protocol "delay: negative");
     emit_fast t ~name_id:proc.Process.trace_name_id ~a:ns ~b:0 k_sleep;
     proc.Process.pending <- Syscall.R_unit;
     proc.Process.status <- Process.Sleeping;
-    proc.Process.wake_at <- cpu.Processor.clock_ns + ns;
+    proc.Process.deadline <- Some (cpu.Processor.clock_ns + ns);
     cpu.Processor.current <- None;
     false
   | Syscall.Send { port; msg; wait } ->
@@ -1436,62 +1430,37 @@ let fire_injections t (cpu : Processor.t) =
   in
   go ()
 
-(* Fire expired deadlines of [Within] sends and receives: withdraw the
-   process (and a sender's parked message) from the port's blocked queue
-   and resume it with the give-up result.  Only called when
-   [timed_waiters > 0]. *)
-let fire_timeouts t ~horizon =
+(* Fire every armed deadline [horizon] has reached, in process-list
+   order.  A sleeper wakes into the mix.  A [Within] waiter is withdrawn
+   from its port's blocked queue (a sender with its parked message) and
+   resumed with the give-up result. *)
+let fire_deadlines t ~horizon =
   List.iter
     (fun (proc : Process.t) ->
-      match (proc.Process.timeout_at, proc.Process.status) with
-      | Some deadline, ((Process.Blocked_receive pi | Process.Blocked_send pi) as st)
-        when deadline <= horizon ->
-        let p = Port.state_of_index t.table pi in
-        let index = proc.Process.index in
-        let result, receiving =
-          match st with
-          | Process.Blocked_send _ ->
-            ignore (Port.remove_sender p ~index);
-            (Syscall.R_accepted false, 0)
-          | _ ->
-            ignore (Port.remove_receiver p ~index);
-            (Syscall.R_msg None, 1)
+      match proc.Process.deadline with
+      | Some d when d <= horizon -> (
+        proc.Process.deadline <- None;
+        let give_up pi ~receiving result =
+          Obs.Metrics.incr t.mon.mon_timeouts;
+          emit t ~name:proc.Process.name ~a:pi ~b:receiving
+            Obs.Event.Timeout_fired;
+          resume t proc result
         in
-        Obs.Metrics.incr t.mon.mon_timeouts;
-        emit t ~name:proc.Process.name ~a:pi ~b:receiving Obs.Event.Timeout_fired;
-        resume t proc result
-      | _ -> ())
-    t.processes
-
-(* Wake sleepers whose deadline has passed relative to [horizon]. *)
-let wake_sleepers t ~horizon =
-  List.iter
-    (fun (proc : Process.t) ->
-      if proc.Process.status = Process.Sleeping && proc.Process.wake_at <= horizon
-      then begin
-        emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
-        requeue t proc
-      end)
-    t.processes
-
-(* Earliest future event among sleeping processes and armed deadlines of
-   timed waits, if any. *)
-let next_wake t =
-  List.fold_left
-    (fun acc (proc : Process.t) ->
-      let candidate =
+        let index = proc.Process.index in
         match proc.Process.status with
-        | Process.Sleeping -> Some proc.Process.wake_at
-        | Process.Blocked_send _ | Process.Blocked_receive _ ->
-          proc.Process.timeout_at
+        | Process.Sleeping ->
+          emit_fast t ~name_id:proc.Process.trace_name_id ~a:0 ~b:0 k_wake;
+          requeue t proc
+        | Process.Blocked_send pi ->
+          ignore (Port.remove_sender (Port.state_of_index t.table pi) ~index);
+          give_up pi ~receiving:0 (Syscall.R_accepted false)
+        | Process.Blocked_receive pi ->
+          ignore (Port.remove_receiver (Port.state_of_index t.table pi) ~index);
+          give_up pi ~receiving:1 (Syscall.R_msg None)
         | Process.Created | Process.Ready | Process.Running | Process.Finished
-        | Process.Faulted _ -> None
-      in
-      match (candidate, acc) with
-      | None, acc -> acc
-      | Some w, None -> Some w
-      | Some w, Some a -> Some (min w a))
-    None t.processes
+        | Process.Faulted _ -> ())
+      | Some _ | None -> ())
+    t.processes
 
 (* The online processor with the smallest clock (ties by id), or [None]
    when every GDP has hard-faulted. *)
@@ -1517,26 +1486,61 @@ let pending_user_work t =
       (not proc.Process.daemon)
       &&
       match proc.Process.status with
-      | Process.Ready | Process.Running | Process.Sleeping | Process.Created ->
-        not proc.Process.stopped || proc.Process.status = Process.Running
+      | Process.Running -> true
+      | Process.Ready | Process.Sleeping | Process.Created ->
+        not proc.Process.stopped
       | Process.Blocked_send _ | Process.Blocked_receive _ ->
-        proc.Process.timeout_at <> None
+        proc.Process.deadline <> None
       | Process.Finished | Process.Faulted _ -> false)
     t.processes
 
-let runnable_somewhere t =
-  Array.exists
-    (fun p -> p.Processor.online && p.Processor.current <> None)
-    t.processors
-  || List.exists
+(* Can [cpu] dispatch some ready process?  The status test comes first:
+   [eligible_for_dispatch] looks the process up in the object table, and
+   the collector may have reclaimed the objects of finished processes. *)
+let has_ready t (cpu : Processor.t) =
+  cpu.Processor.online
+  && List.exists
        (fun (proc : Process.t) ->
          proc.Process.status = Process.Ready
-         && Array.exists
-              (fun cpu ->
-                cpu.Processor.online
-                && eligible_for_dispatch t ~cpu proc.Process.index)
-              t.processors)
+         && eligible_for_dispatch t ~cpu proc.Process.index)
        t.processes
+
+(* The machine has drained: no user process can make progress and no
+   processor has anything to run. *)
+let drained t =
+  (not (pending_user_work t))
+  && not
+       (Array.exists
+          (fun p ->
+            (p.Processor.online && p.Processor.current <> None) || has_ready t p)
+          t.processors)
+
+(* The earliest instant after [cpu]'s clock at which anything can happen
+   to it, or [None] when nothing ever can.  Sources: a process deadline,
+   and every other processor that is busy or has a ready process it may
+   dispatch.  Another processor's clock may equal ours (we are the
+   minimum); stepping just past it lets that processor run first, so a
+   process bound to it is its event, not ours. *)
+let next_event t (cpu : Processor.t) =
+  let now = cpu.Processor.clock_ns in
+  let earliest acc c =
+    if c <= now then acc
+    else match acc with Some a when a <= c -> acc | Some _ | None -> Some c
+  in
+  let deadline =
+    List.fold_left
+      (fun acc (proc : Process.t) ->
+        match proc.Process.deadline with Some d -> earliest acc d | None -> acc)
+      None t.processes
+  in
+  Array.fold_left
+    (fun acc (p : Processor.t) ->
+      if
+        p.Processor.id <> cpu.Processor.id
+        && (p.Processor.current <> None || has_ready t p)
+      then earliest acc (p.Processor.clock_ns + 1)
+      else acc)
+    deadline t.processors
 
 let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
   let steps = ref 0 in
@@ -1558,15 +1562,12 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
            the iteration ends here and the next-smallest clock runs. *)
         if t.injections <> [] then fire_injections t cpu;
         if not cpu.Processor.online then begin
-          if not (pending_user_work t) then
-            if not (runnable_somewhere t) then continue_ := false
+          if drained t then continue_ := false
         end
         else begin
         (* Wake (and ready) events are stamped on the waking processor. *)
         t.current <- Some cpu;
-        wake_sleepers t ~horizon:cpu.Processor.clock_ns;
-        if t.timed_waiters > 0 then
-          fire_timeouts t ~horizon:cpu.Processor.clock_ns;
+        fire_deadlines t ~horizon:cpu.Processor.clock_ns;
         t.current <- None;
         (match cpu.Processor.current with
         | Some _ -> step_process t cpu
@@ -1592,53 +1593,13 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
             charge t t.timings.Timings.dispatch_ns;
             t.current <- None
           | None -> (
-            (* Idle: advance this processor's clock to the next event
-               horizon — another processor's activity or a sleeper's wake
-               time.  Clocks of other busy processors may equal ours (we are
-               the minimum); stepping just past them lets them run first. *)
-            let candidates =
-              Array.fold_left
-                (fun acc p ->
-                  if p.Processor.id <> cpu.Processor.id
-                     && p.Processor.current <> None
-                  then (p.Processor.clock_ns + 1) :: acc
-                  else acc)
-                [] t.processors
-            in
-            let candidates =
-              match next_wake t with
-              | Some w -> w :: candidates
-              | None -> candidates
-            in
-            (* A ready process bound to another processor is that
-               processor's event, not ours: step past it so the owner gets
-               the next turn. *)
-            let candidates =
-              Array.fold_left
-                (fun acc cpu2 ->
-                  if
-                    cpu2.Processor.online
-                    && cpu2.Processor.id <> cpu.Processor.id
-                    && List.exists
-                         (fun (proc : Process.t) ->
-                           proc.Process.status = Process.Ready
-                           && eligible_for_dispatch t ~cpu:cpu2
-                                proc.Process.index)
-                         t.processes
-                  then (cpu2.Processor.clock_ns + 1) :: acc
-                  else acc)
-                candidates t.processors
-            in
-            let future =
-              List.filter (fun c -> c > cpu.Processor.clock_ns) candidates
-            in
-            match future with
-            | [] ->
+            (* Idle: advance this processor's clock to its next event. *)
+            match next_event t cpu with
+            | None ->
               (* No event can ever reach this processor: the machine is
                  drained (or every remaining process is blocked). *)
               continue_ := false
-            | _ :: _ ->
-              let target = List.fold_left min max_int future in
+            | Some target ->
               (* Never idle past the caller's horizon: the bound check at
                  the top of the loop must fire at the bound, not at some
                  distant wake time. *)
@@ -1650,8 +1611,7 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
                 cpu.Processor.idle_ns + (target - cpu.Processor.clock_ns);
               cpu.Processor.clock_ns <- target)));
         (* Halt when no user process can make progress any more. *)
-        if not (pending_user_work t) then
-          if not (runnable_somewhere t) then continue_ := false
+        if drained t then continue_ := false
         end
       end
     end

@@ -358,6 +358,13 @@ val set_fault_hook : t -> (Process.t -> Fault.cause -> unit) option -> unit
 (** Run until no non-daemon process can make progress, or a bound is hit. *)
 val run : ?max_ns:int -> ?max_steps:int -> t -> run_report
 
+(** Does the machine still owe virtual time without external input?
+    True while some non-daemon process is running, is dispatchable or
+    sleeping and not stopped, or is parked at a port with an armed
+    deadline.  A process parked without a deadline moves only when a
+    message arrives, so it does not count. *)
+val pending_user_work : t -> bool
+
 (** Sum of busy time across processors: the "total processing power"
     delivered. *)
 val total_busy_ns : t -> int

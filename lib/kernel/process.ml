@@ -44,8 +44,7 @@ type t = {
   mutable stopped : bool;  (* out of the dispatching mix (kernel bit) *)
   mutable priority : int;  (* higher runs first *)
   mutable pending : Syscall.result;  (* delivered at next resume *)
-  mutable wake_at : int;  (* for Sleeping *)
-  mutable timeout_at : int option;  (* deadline for a timed blocking op *)
+  mutable deadline : int option;  (* when a sleep or timed wait ends *)
   mutable cpu_ns : int;  (* total virtual time consumed *)
   mutable slice_used_ns : int;  (* since last dispatch *)
   mutable last_ready_ns : int;  (* when the process last entered the mix *)

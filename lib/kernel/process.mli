@@ -36,10 +36,12 @@ type t = {
   mutable stopped : bool;  (** out of the dispatching mix *)
   mutable priority : int;
   mutable pending : Syscall.result;  (** delivered at next resume *)
-  mutable wake_at : int;
-  mutable timeout_at : int option;
-      (** virtual-time deadline of the timed blocking operation the process
-          is currently parked on, if any *)
+  mutable deadline : int option;
+      (** the virtual-time instant at which the kernel resumes the process
+          on its own: the end of a [Delay] or delayed start ([Sleeping]),
+          or the give-up instant of a [Within] port wait ([Blocked_*]).
+          Armed when the process goes to sleep or parks with a time
+          limit, disarmed when it wakes or is resumed. *)
   mutable cpu_ns : int;
   mutable slice_used_ns : int;
   mutable last_ready_ns : int;  (** when the process last entered the mix *)

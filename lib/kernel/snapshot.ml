@@ -243,14 +243,14 @@ let state_image machine =
         Queue.iter (Printf.bprintf buf " receiver %d\n") p.Port.receivers
       | Some (Process.Process_state p) ->
         Printf.bprintf buf
-          " process %s status=%s%s prio=%d wake=%d tmo=%s cpu=%d slice=%d \
+          " process %s status=%s%s prio=%d deadline=%s cpu=%d slice=%d \
            ready=%d lvl=%d aff=%s sched=%s depth=%d disp=%d pre=%d blk=%d \
            msgs=%d/%d roots=%d ctxs=%d\n"
           p.Process.name
           (Process.status_to_string p.Process.status)
           (if p.Process.stopped then " stopped" else "")
-          p.Process.priority p.Process.wake_at
-          (match p.Process.timeout_at with
+          p.Process.priority
+          (match p.Process.deadline with
           | None -> "-"
           | Some t -> string_of_int t)
           p.Process.cpu_ns p.Process.slice_used_ns p.Process.last_ready_ns

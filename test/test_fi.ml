@@ -134,6 +134,82 @@ let test_send_timeout_fires () =
   Alcotest.(check (list string)) "no invariant violations" []
     (Fi.check_invariants m)
 
+(* A sleep, a timed receive and a timed send all end on the kernel's one
+   process deadline, fired in one pass: three deadlines armed for the
+   same instant come due together, each stamped at that instant, each
+   waiter gets its give-up result, and nobody is left parked. *)
+let test_deadlines_fire_together () =
+  let m = mk ~trace:true () in
+  let tm = K.Machine.timings m in
+  let at_ns = 1_000_000 in
+  (* Each process arms its deadline [at_ns]: a Delay arms it at the
+     caller's clock, a parked port wait after the syscall and the block
+     are charged. *)
+  let until ~charged = at_ns - K.Machine.now m - charged in
+  let inbox = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let full = K.Machine.create_port m ~capacity:1 ~discipline:K.Port.Fifo () in
+  let woke = ref 0 and got = ref (Some full) and accepted = ref true in
+  ignore
+    (K.Machine.spawn m ~name:"sleeper" (fun () ->
+         K.Machine.delay m ~ns:(until ~charged:0);
+         woke := K.Machine.now m));
+  ignore
+    (K.Machine.spawn m ~name:"receiver" (fun () ->
+         got :=
+           K.Machine.receive_timeout m ~port:inbox
+             ~timeout_ns:
+               (until ~charged:(tm.Timings.receive_ns + tm.Timings.block_ns))));
+  ignore
+    (K.Machine.spawn m ~name:"sender" (fun () ->
+         K.Machine.send m ~port:full ~msg:(K.Machine.allocate_generic m ());
+         let msg = K.Machine.allocate_generic m () in
+         accepted :=
+           K.Machine.send_timeout m ~port:full ~msg
+             ~timeout_ns:
+               (until ~charged:(tm.Timings.send_ns + tm.Timings.block_ns))));
+  let report = K.Machine.run m in
+  let stamps kind =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        if e.Obs.Event.kind = kind then Some e.Obs.Event.ts_ns else None)
+      (K.Machine.events m)
+  in
+  Alcotest.(check (list int)) "Wake at the deadline" [ at_ns ]
+    (stamps Obs.Event.Wake);
+  Alcotest.(check (list int)) "both timeouts at the deadline"
+    [ at_ns; at_ns ]
+    (stamps Obs.Event.Timeout_fired);
+  Alcotest.(check bool) "sleeper resumed after the deadline" true
+    (!woke >= at_ns);
+  Alcotest.(check bool) "receive gave up" true (!got = None);
+  Alcotest.(check bool) "send gave up" false !accepted;
+  Alcotest.(check (list string)) "no invariant violations" []
+    (Fi.check_invariants m);
+  Alcotest.(check (list string)) "nobody parked" [] report.K.Machine.deadlocked;
+  Alcotest.(check int) "all three completed" 3 report.K.Machine.completed
+
+(* A negative delay is the caller's protocol fault: the process faults,
+   its sibling runs on, and [run] returns normally.  Below system level 3
+   the fault is the §7.3 kernel panic. *)
+let test_negative_delay_faults_caller () =
+  let m = mk () in
+  ignore (K.Machine.spawn m ~name:"bad" (fun () -> K.Machine.delay m ~ns:(-5)));
+  ignore
+    (K.Machine.spawn m ~name:"worker" (fun () -> K.Machine.compute m 100));
+  let report = K.Machine.run m in
+  Alcotest.(check int) "caller faulted" 1 report.K.Machine.faulted;
+  Alcotest.(check int) "sibling completed" 1 report.K.Machine.completed;
+  (match K.Machine.faults m with
+  | [ ("bad", Fault.Protocol _) ] -> ()
+  | _ -> Alcotest.fail "expected one protocol fault in bad");
+  let m = mk () in
+  ignore
+    (K.Machine.spawn m ~name:"kernel" ~system_level:2 (fun () ->
+         K.Machine.delay m ~ns:(-5)));
+  match K.Machine.run m with
+  | _ -> Alcotest.fail "a level-2 fault must panic"
+  | exception K.Machine.Kernel_panic _ -> ()
+
 let test_port_delay_charged_by_cond_send () =
   (* An armed port delay is charged at the next port syscall whatever its
      wait mode (DESIGN.md §8): a conditional send consumes it too. *)
@@ -422,6 +498,10 @@ let suite =
       test_send_timeout_fires;
     Alcotest.test_case "send timeout beaten by receiver" `Quick
       test_send_timeout_accepted;
+    Alcotest.test_case "sleep and timed waits share one deadline" `Quick
+      test_deadlines_fire_together;
+    Alcotest.test_case "negative delay faults the caller" `Quick
+      test_negative_delay_faults_caller;
     Alcotest.test_case "cond send charges an armed port delay" `Quick
       test_port_delay_charged_by_cond_send;
     Alcotest.test_case "allocation retry recovers" `Quick

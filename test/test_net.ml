@@ -1058,6 +1058,31 @@ let test_metrics_merge_deterministic () =
   Alcotest.(check bool) "dump is non-empty json" true
     (String.length merged > 2)
 
+(* A node whose only remaining work is a timed receive still owes the
+   cluster virtual time: the round loop keeps going until the receive
+   gives up, rather than quiescing with the waiter parked. *)
+let test_timed_receive_keeps_cluster_running () =
+  let cluster = Net.Cluster.create () in
+  let a, _ = Net.Cluster.boot_node cluster ~name:"a" () in
+  let b, mb = Net.Cluster.boot_node cluster ~name:"b" () in
+  ignore (Net.Cluster.connect cluster a b);
+  let port = K.Machine.create_port mb ~capacity:4 ~discipline:K.Port.Fifo () in
+  let timeout_ns = 2_000_000 in
+  let got = ref (Some port) and gave_up_at = ref 0 in
+  ignore
+    (K.Machine.spawn mb ~name:"waiter" (fun () ->
+         got := K.Machine.receive_timeout mb ~port ~timeout_ns;
+         gave_up_at := K.Machine.now mb));
+  let report = Net.Cluster.run cluster () in
+  Alcotest.(check bool) "receive gave up" true (!got = None);
+  Alcotest.(check bool) "at its deadline" true (!gave_up_at >= timeout_ns);
+  Alcotest.(check bool) "rounds reached the deadline" true
+    (report.Net.Cluster.horizon_ns >= timeout_ns);
+  Alcotest.(check bool) "waiter finished" true
+    (List.for_all
+       (fun (p : K.Process.t) -> p.K.Process.status = K.Process.Finished)
+       (K.Machine.all_processes mb))
+
 let suite =
   [
     Alcotest.test_case "wire: cycle and sharing cross nodes" `Quick
@@ -1115,4 +1140,6 @@ let suite =
       test_metrics_single_writer;
     Alcotest.test_case "par: metrics merge is deterministic" `Quick
       test_metrics_merge_deterministic;
+    Alcotest.test_case "cluster: a timed receive keeps rounds going" `Quick
+      test_timed_receive_keeps_cluster_running;
   ]
