@@ -38,9 +38,18 @@ let stream m = List.map Obs.Event.to_string (K.Machine.events m)
 
 (* ---------------- shared flags ---------------- *)
 
+(* Rejected here, as a bad invocation, so no subcommand can hand a
+   machine zero processors. *)
 let processors =
   let doc = "Number of general data processors." in
-  Arg.(value & opt int 2 & info [ "p"; "processors" ] ~docv:"N" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (s ^ ": need at least one processor"))
+    | None -> Error (`Msg (s ^ ": expected an integer"))
+  in
+  let count = Arg.conv (parse, Format.pp_print_int) in
+  Arg.(value & opt count 2 & info [ "p"; "processors" ] ~docv:"N" ~doc)
 
 let memory_manager =
   let doc =
@@ -1312,6 +1321,10 @@ let scenario_loadgen config users rate sessions requests mix pattern seed nodes
     | None -> die "--pattern %s: expected poisson or bursty" pattern
   in
   if nodes < 1 then die "--nodes %d: need at least one node" nodes;
+  List.iter
+    (fun (flag, n) -> if n < 1 then die "--%s %d: need at least one" flag n)
+    [ ("users", users); ("sessions", sessions); ("requests", requests) ];
+  if not (rate > 0.0) then die "--rate %g: need a positive rate" rate;
   let spec =
     {
       Load.Arrival.seed;

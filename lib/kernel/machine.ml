@@ -94,9 +94,9 @@ type monitors = {
   mon_alloc_retries : Obs.Metrics.counter;
   mon_timeouts : Obs.Metrics.counter;
   mon_ready_len : Obs.Metrics.gauge;
-  mon_dispatch_latency : Obs.Metrics.histogram;
-  mon_port_wait : Obs.Metrics.histogram;
-  mon_alloc_size : Obs.Metrics.histogram;
+  mon_dispatch_latency : Obs.Metrics.log_histogram;
+  mon_port_wait : Obs.Metrics.log_histogram;
+  mon_alloc_size : Obs.Metrics.log_histogram;
 }
 
 type t = {
@@ -164,14 +164,9 @@ let make_monitors metrics =
     mon_timeouts = Obs.Metrics.counter metrics "port.timeouts";
     mon_ready_len = Obs.Metrics.gauge metrics "dispatch.ready_len";
     mon_dispatch_latency =
-      Obs.Metrics.histogram metrics ~buckets:32 ~lo:0.0 ~hi:3.2e6
-        "dispatch.latency_ns";
-    mon_port_wait =
-      Obs.Metrics.histogram metrics ~buckets:32 ~lo:0.0 ~hi:3.2e6
-        "port.wait_ns";
-    mon_alloc_size =
-      Obs.Metrics.histogram metrics ~buckets:32 ~lo:0.0 ~hi:65536.0
-        "alloc.size_bytes";
+      Obs.Metrics.log_histogram metrics "dispatch.latency_ns";
+    mon_port_wait = Obs.Metrics.log_histogram metrics "port.wait_ns";
+    mon_alloc_size = Obs.Metrics.log_histogram metrics "alloc.size_bytes";
   }
 
 let create ?(config = default_config) () =
@@ -459,7 +454,7 @@ let allocate t sro ~data_length ~access_length ~otype =
   end;
   let access = Sro.allocate t.table sro ~data_length ~access_length ~otype in
   Obs.Metrics.incr t.mon.mon_allocates;
-  Obs.Metrics.observe t.mon.mon_alloc_size (float_of_int data_length);
+  Obs.Metrics.observe_log t.mon.mon_alloc_size (float_of_int data_length);
   emit_fast t ~name_id:0 ~a:(Access.index access) ~b:data_length k_allocate;
   access
 
@@ -700,9 +695,12 @@ let count_send t (p : Port.t) (sender : Process.t option) msg =
       ~b:(Access.index msg) k_send
   | None -> ()
 
-let count_receive t (p : Port.t) (taker : Process.t option) msg =
+(* [wait_ns] is how long [msg] sat in [p]'s queue: 0 for a handoff to a
+   parked receiver, so [port.wait_ns] counts every receive. *)
+let count_receive t (p : Port.t) (taker : Process.t option) msg ~wait_ns =
   p.Port.receives <- p.Port.receives + 1;
   Obs.Metrics.incr t.mon.mon_receives;
+  Obs.Metrics.observe_log t.mon.mon_port_wait (float_of_int wait_ns);
   match taker with
   | Some r ->
     r.Process.messages_received <- r.Process.messages_received + 1;
@@ -719,7 +717,7 @@ let accept t (p : Port.t) ~sender ?(txn = 0) ~priority msg =
   match Port.pop_receiver p with
   | Some r ->
     let rproc = proc_of t r in
-    count_receive t p (Some rproc) msg;
+    count_receive t p (Some rproc) msg ~wait_ns:0;
     resume t rproc (Syscall.R_msg (Some msg))
   | None -> Port.enqueue p ~txn ~msg ~priority ~now:(now t)
 
@@ -735,8 +733,7 @@ let admit t (p : Port.t) (ws : Port.waiting_sender) =
 let dequeue t (p : Port.t) ~taker =
   match Port.dequeue_entry p ~now:(now t) with
   | Some qm as got ->
-    count_receive t p taker qm.Port.msg;
-    Obs.Metrics.observe t.mon.mon_port_wait (float_of_int p.Port.last_wait_ns);
+    count_receive t p taker qm.Port.msg ~wait_ns:p.Port.last_wait_ns;
     got
   | None -> None
 
@@ -1583,7 +1580,7 @@ let run_loop ?(max_ns = max_int) ?(max_steps = max_int) t =
             cpu.Processor.current <- Some index;
             cpu.Processor.dispatches <- cpu.Processor.dispatches + 1;
             Obs.Metrics.incr t.mon.mon_dispatches;
-            Obs.Metrics.observe t.mon.mon_dispatch_latency
+            Obs.Metrics.observe_log t.mon.mon_dispatch_latency
               (float_of_int
                  (max 0 (cpu.Processor.clock_ns - proc.Process.last_ready_ns)));
             Obs.Metrics.set t.mon.mon_ready_len (Dispatch.length t.dispatch);

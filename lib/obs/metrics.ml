@@ -1,4 +1,4 @@
-(* Named metrics registry: counters, gauges, and Stats-backed histograms.
+(* Named metrics registry: counters, gauges, and log-bucketed histograms.
 
    Instrumentation sites resolve their instrument once (at machine boot)
    and then update a bare mutable field on the hot path — no hashing, no
@@ -12,14 +12,12 @@ open I432_util
 
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : int }
-type histogram = { m_name : string; m_hist : Stats.hist }
 type log_histogram = { l_name : string; l_hist : Stats.log_hist }
 
 type t = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-  log_histograms : (string, log_histogram) Hashtbl.t;
+  histograms : (string, log_histogram) Hashtbl.t;
   (* Domain id of the current writer, if claimed.  Registries are not
      thread-safe: exactly one domain may update instruments at a time.
      The parallel cluster engine claims each node's registry for the
@@ -33,7 +31,6 @@ let create () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    log_histograms = Hashtbl.create 16;
     writer = None;
   }
 
@@ -71,27 +68,21 @@ let gauge t name =
 let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 
-let histogram t ?(buckets = 32) ?(lo = 0.0) ?(hi = 1.0e6) name =
+(* Every registry histogram has one shape: 10 ns .. 10 s at 16 buckets
+   per decade (~15% relative width), sized for virtual-time latencies.
+   One shape means any two same-named histograms merge, and every one
+   reports quantiles. *)
+let log_histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-    let h = { m_name = name; m_hist = Stats.hist_create ~buckets ~lo ~hi () } in
-    Hashtbl.replace t.histograms name h;
-    h
-
-let observe h x = Stats.hist_observe h.m_hist x
-
-(* Log-bucketed histograms: quantile-capable over multi-decade ranges
-   (request latencies).  Defaults cover 10 ns .. 10 s of virtual time at
-   ~15% relative bucket width. *)
-let log_histogram t ?(per_decade = 16) ?(lo = 10.0) ?(decades = 9) name =
-  match Hashtbl.find_opt t.log_histograms name with
-  | Some h -> h
-  | None ->
     let h =
-      { l_name = name; l_hist = Stats.log_hist_create ~per_decade ~lo ~decades () }
+      {
+        l_name = name;
+        l_hist = Stats.log_hist_create ~per_decade:16 ~lo:10.0 ~decades:9 ();
+      }
     in
-    Hashtbl.replace t.log_histograms name h;
+    Hashtbl.replace t.histograms name h;
     h
 
 let observe_log h x = Stats.log_hist_observe h.l_hist x
@@ -99,35 +90,14 @@ let log_quantile h q = Stats.log_hist_quantile h.l_hist q
 
 let find_counter t name = Hashtbl.find_opt t.counters name
 let find_gauge t name = Hashtbl.find_opt t.gauges name
-let find_histogram t name = Hashtbl.find_opt t.histograms name
-let find_log_histogram t name = Hashtbl.find_opt t.log_histograms name
+let find_log_histogram t name = Hashtbl.find_opt t.histograms name
 
 let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let counters t = List.map snd (sorted_bindings t.counters)
 let gauges t = List.map snd (sorted_bindings t.gauges)
-let histograms t = List.map snd (sorted_bindings t.histograms)
-let log_histograms t = List.map snd (sorted_bindings t.log_histograms)
-
-let hist_json (h : Stats.hist) =
-  let open Jout in
-  Obj
-    [
-      ("lo", Float h.Stats.h_lo);
-      ("hi", Float h.Stats.h_hi);
-      ("count", Int h.Stats.h_count);
-      ("sum", Float h.Stats.h_sum);
-      ("mean", Float (Stats.hist_mean h));
-      ( "min",
-        if h.Stats.h_count = 0 then Null else Float h.Stats.h_min );
-      ( "max",
-        if h.Stats.h_count = 0 then Null else Float h.Stats.h_max );
-      ("underflow", Int h.Stats.h_underflow);
-      ("overflow", Int h.Stats.h_overflow);
-      ( "buckets",
-        Arr (Array.to_list (Array.map (fun c -> Int c) h.Stats.h_counts)) );
-    ]
+let log_histograms t = List.map snd (sorted_bindings t.histograms)
 
 let log_hist_json (h : Stats.log_hist) =
   let open Jout in
@@ -152,33 +122,21 @@ let log_hist_json (h : Stats.log_hist) =
 let to_json t =
   let open Jout in
   Obj
-    ([
-       ("schema", Str "imax432-metrics/1");
-       ( "counters",
-         Obj (List.map (fun (k, c) -> (k, Int c.c_value)) (sorted_bindings t.counters)) );
-       ( "gauges",
-         Obj (List.map (fun (k, g) -> (k, Int g.g_value)) (sorted_bindings t.gauges)) );
-       ( "histograms",
-         Obj
-           (List.map
-              (fun (k, h) -> (k, hist_json h.m_hist))
-              (sorted_bindings t.histograms)) );
-     ]
-    (* Only present when some site registered one: dumps from runs without
-       a load generator stay byte-identical to pre-log-histogram runs. *)
-    @
-    if Hashtbl.length t.log_histograms = 0 then []
-    else
-      [
-        ( "log_histograms",
-          Obj
-            (List.map
-               (fun (k, h) -> (k, log_hist_json h.l_hist))
-               (sorted_bindings t.log_histograms)) );
-      ])
+    [
+      ("schema", Str "imax432-metrics/2");
+      ( "counters",
+        Obj (List.map (fun (k, c) -> (k, Int c.c_value)) (sorted_bindings t.counters)) );
+      ( "gauges",
+        Obj (List.map (fun (k, g) -> (k, Int g.g_value)) (sorted_bindings t.gauges)) );
+      ( "histograms",
+        Obj
+          (List.map
+             (fun (k, h) -> (k, log_hist_json h.l_hist))
+             (sorted_bindings t.histograms)) );
+    ]
 
 (* Fold [src] into [dst]: counters and gauges add; histograms of the same
-   name must share a shape and their buckets add.  Merging the per-node
+   name add bucket-wise (they all share the one shape).  Merging the per-node
    registries of a cluster in node order yields the same bytes from
    [to_json]/[render] regardless of which domain stepped which node,
    because dumps are name-sorted and the fold order is fixed by the
@@ -195,24 +153,10 @@ let merge_into ~dst ~src =
       d.g_value <- d.g_value + g.g_value)
     (sorted_bindings src.gauges);
   List.iter
-    (fun (k, (h : histogram)) ->
-      let d =
-        histogram dst
-          ~buckets:(Array.length h.m_hist.Stats.h_counts)
-          ~lo:h.m_hist.Stats.h_lo ~hi:h.m_hist.Stats.h_hi k
-      in
-      Stats.hist_merge_into ~dst:d.m_hist ~src:h.m_hist)
-    (sorted_bindings src.histograms);
-  List.iter
     (fun (k, (h : log_histogram)) ->
-      let per_decade = h.l_hist.Stats.lh_per_decade in
-      let d =
-        log_histogram dst ~per_decade ~lo:h.l_hist.Stats.lh_lo
-          ~decades:(Array.length h.l_hist.Stats.lh_counts / per_decade)
-          k
-      in
+      let d = log_histogram dst k in
       Stats.log_hist_merge_into ~dst:d.l_hist ~src:h.l_hist)
-    (sorted_bindings src.log_histograms)
+    (sorted_bindings src.histograms)
 
 (* Human-readable rendering for operator tooling. *)
 let render t =
@@ -225,20 +169,12 @@ let render t =
     (sorted_bindings t.gauges);
   List.iter
     (fun (k, h) ->
-      let s = h.m_hist in
-      Printf.bprintf buf
-        "hist    %-28s count %d mean %.1f under %d over %d\n" k
-        s.Stats.h_count (Stats.hist_mean s) s.Stats.h_underflow
-        s.Stats.h_overflow)
-    (sorted_bindings t.histograms);
-  List.iter
-    (fun (k, h) ->
       let s = h.l_hist in
       Printf.bprintf buf
-        "loghist %-28s count %d mean %.1f p50 %.1f p99 %.1f p999 %.1f\n" k
+        "hist    %-28s count %d mean %.1f p50 %.1f p99 %.1f p999 %.1f\n" k
         s.Stats.lh_count (Stats.log_hist_mean s)
         (Stats.log_hist_quantile s 0.50)
         (Stats.log_hist_quantile s 0.99)
         (Stats.log_hist_quantile s 0.999))
-    (sorted_bindings t.log_histograms);
+    (sorted_bindings t.histograms);
   Buffer.contents buf

@@ -1,5 +1,5 @@
-(** Named metrics registry: counters, gauges, and {!I432_util.Stats}-backed
-    histograms.
+(** Named metrics registry: counters, gauges, and log-bucketed
+    ({!I432_util.Stats.log_hist}) histograms.
 
     Instruments are resolved once (find-or-create by name) and updated
     through bare mutable fields on the hot path.  Dumps are sorted by
@@ -9,7 +9,6 @@ open I432_util
 
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : int }
-type histogram = { m_name : string; m_hist : Stats.hist }
 type log_histogram = { l_name : string; l_hist : Stats.log_hist }
 
 type t
@@ -26,17 +25,11 @@ val gauge : t -> string -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
-(** [buckets]/[lo]/[hi] apply only on first creation of the name. *)
-val histogram : t -> ?buckets:int -> ?lo:float -> ?hi:float -> string -> histogram
-
-val observe : histogram -> float -> unit
-
-(** Log-bucketed quantile histogram ({!Stats.log_hist}); the shape
-    arguments apply only on first creation of the name.  Defaults span
-    10 ns .. 10 s at 16 buckets per decade (~15% relative width) —
-    sized for virtual-time request latencies. *)
-val log_histogram :
-  t -> ?per_decade:int -> ?lo:float -> ?decades:int -> string -> log_histogram
+(** Log-bucketed quantile histogram, find-or-create by name.  Every
+    registry histogram has the same shape: 10 .. 10^10 (10 ns .. 10 s of
+    virtual time) at 16 buckets per decade (~15% relative width), with
+    underflow/overflow buckets for values outside it. *)
+val log_histogram : t -> string -> log_histogram
 
 val observe_log : log_histogram -> float -> unit
 
@@ -55,27 +48,29 @@ val claim : t -> unit
 val release : t -> unit
 
 (** Fold [src] into [dst]: counters and gauges add; same-named histograms
-    (which must share bucket count and range) add bucket-wise.  Folding
-    per-node registries in node order is deterministic. *)
+    add bucket-wise.  Folding per-node registries in node order is
+    deterministic. *)
 val merge_into : dst:t -> src:t -> unit
 
 val find_counter : t -> string -> counter option
 val find_gauge : t -> string -> gauge option
-val find_histogram : t -> string -> histogram option
 val find_log_histogram : t -> string -> log_histogram option
 
 (** Sorted by name. *)
 val counters : t -> counter list
 
 val gauges : t -> gauge list
-val histograms : t -> histogram list
 val log_histograms : t -> log_histogram list
 
-(** Schema [imax432-metrics/1]: counters, gauges, histograms (with
-    underflow/overflow buckets), sorted by name.  A [log_histograms] key
-    is appended only when at least one exists, so dumps from runs without
-    one are byte-identical to earlier schema emissions. *)
+(** Schema [imax432-metrics/2]: [counters] and [gauges] as name -> int
+    objects, and an always-present [histograms] object mapping each name
+    to its log-bucketed histogram: [lo], [per_decade], [count], [sum],
+    [mean], [min]/[max] ([null] when empty), [p50]/[p99]/[p999],
+    [underflow], [overflow] and the [buckets] counts.  Every section is
+    sorted by name. *)
 val to_json : t -> Jout.t
 
-(** Human-readable rendering for operator tooling. *)
+(** Human-readable rendering for operator tooling: one [counter],
+    [gauge] or [hist] line per instrument; a [hist] line gives count,
+    mean and p50/p99/p999. *)
 val render : t -> string

@@ -1,54 +1,6 @@
-(* Small statistics toolkit used by the benchmark harness and the metrics
-   registry. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  let rank = p *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let summarize samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Stats.summarize: empty";
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  let sum = Array.fold_left ( +. ) 0.0 sorted in
-  let mean = sum /. float_of_int n in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 sorted
-    /. float_of_int (Stdlib.max 1 (n - 1))
-  in
-  {
-    count = n;
-    mean;
-    stddev = sqrt var;
-    min = sorted.(0);
-    max = sorted.(n - 1);
-    p50 = percentile sorted 0.50;
-    p90 = percentile sorted 0.90;
-    p99 = percentile sorted 0.99;
-  }
-
-let mean samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Stats.mean: empty";
-  Array.fold_left ( +. ) 0.0 samples /. float_of_int n
+(* Small statistics toolkit: Jain's fairness index for the benchmark
+   harness, and the one histogram kind every metrics-registry histogram
+   uses. *)
 
 (* Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 = perfectly fair. *)
 let jain_fairness xs =
@@ -59,78 +11,6 @@ let jain_fairness xs =
   if s2 = 0.0 then 1.0 else s *. s /. (float_of_int n *. s2)
 
 (* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A streaming fixed-width histogram over [lo, hi).  Out-of-range values
-   are not dropped: they land in the explicit underflow/overflow buckets,
-   so the bucket counts always account for every finite observation.  NaN
-   observations are ignored (they order with nothing). *)
-type hist = {
-  h_lo : float;
-  h_hi : float;
-  h_counts : int array;
-  mutable h_underflow : int;
-  mutable h_overflow : int;
-  mutable h_count : int;  (* finite observations, including under/overflow *)
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-}
-
-let hist_create ~buckets ~lo ~hi () =
-  if buckets <= 0 then invalid_arg "Stats.hist_create: buckets";
-  if not (hi > lo) then invalid_arg "Stats.hist_create: range";
-  {
-    h_lo = lo;
-    h_hi = hi;
-    h_counts = Array.make buckets 0;
-    h_underflow = 0;
-    h_overflow = 0;
-    h_count = 0;
-    h_sum = 0.0;
-    h_min = infinity;
-    h_max = neg_infinity;
-  }
-
-let hist_observe h x =
-  if not (Float.is_nan x) then begin
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. x;
-    if x < h.h_min then h.h_min <- x;
-    if x > h.h_max then h.h_max <- x;
-    if x < h.h_lo then h.h_underflow <- h.h_underflow + 1
-    else if x >= h.h_hi then h.h_overflow <- h.h_overflow + 1
-    else begin
-      let buckets = Array.length h.h_counts in
-      let width = (h.h_hi -. h.h_lo) /. float_of_int buckets in
-      let b = int_of_float ((x -. h.h_lo) /. width) in
-      let b = if b >= buckets then buckets - 1 else if b < 0 then 0 else b in
-      h.h_counts.(b) <- h.h_counts.(b) + 1
-    end
-  end
-
-let hist_mean h =
-  if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-
-(* Fold [src] into [dst].  Requires identical shape (same bucket count and
-   range), so per-node histograms created from the same instrumentation
-   site merge without rebinning.  Sum order is dst-then-src, so merging a
-   name-sorted sequence of registries is deterministic. *)
-let hist_merge_into ~dst ~src =
-  if
-    Array.length dst.h_counts <> Array.length src.h_counts
-    || dst.h_lo <> src.h_lo || dst.h_hi <> src.h_hi
-  then invalid_arg "Stats.hist_merge_into: shape mismatch";
-  Array.iteri (fun i c -> dst.h_counts.(i) <- dst.h_counts.(i) + c) src.h_counts;
-  dst.h_underflow <- dst.h_underflow + src.h_underflow;
-  dst.h_overflow <- dst.h_overflow + src.h_overflow;
-  dst.h_count <- dst.h_count + src.h_count;
-  dst.h_sum <- dst.h_sum +. src.h_sum;
-  if src.h_min < dst.h_min then dst.h_min <- src.h_min;
-  if src.h_max > dst.h_max then dst.h_max <- src.h_max
-
-(* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -139,8 +19,10 @@ let hist_merge_into ~dst ~src =
    cannot resolve tail quantiles over a multi-decade range (a p999 four
    decades above p50 lands in one giant bucket); here every bucket has the
    same *relative* width 10^(1/per_decade), so quantile error is a bounded
-   relative error everywhere in range.  Out-of-range values land in the
-   explicit underflow/overflow buckets, like [hist].  NaNs are ignored. *)
+   relative error everywhere in range.  Out-of-range values are not
+   dropped: they land in the explicit underflow/overflow buckets, so the
+   counts account for every finite observation.  NaNs are ignored (they
+   order with nothing). *)
 type log_hist = {
   lh_lo : float;  (* lower edge of bucket 0; > 0 *)
   lh_per_decade : int;
@@ -238,8 +120,10 @@ let log_hist_quantile h q =
     end
   end
 
-(* Fold [src] into [dst]; same conventions as [hist_merge_into]: identical
-   shape required, dst-then-src sum order for determinism. *)
+(* Fold [src] into [dst].  Requires identical shape, so per-node
+   histograms created from the same instrumentation site merge without
+   rebinning.  Sum order is dst-then-src, so merging a name-sorted
+   sequence of registries is deterministic. *)
 let log_hist_merge_into ~dst ~src =
   if
     Array.length dst.lh_counts <> Array.length src.lh_counts
@@ -254,17 +138,3 @@ let log_hist_merge_into ~dst ~src =
   dst.lh_sum <- dst.lh_sum +. src.lh_sum;
   if src.lh_min < dst.lh_min then dst.lh_min <- src.lh_min;
   if src.lh_max > dst.lh_max then dst.lh_max <- src.lh_max
-
-(* One-shot histogram of a sample array.  Underflow and overflow are
-   reported explicitly rather than silently dropped; [hi] itself counts as
-   overflow (the in-range interval is half-open).  NaNs are ignored. *)
-type histogram_counts = {
-  in_range : int array;
-  underflow : int;
-  overflow : int;
-}
-
-let histogram ~buckets ~lo ~hi samples =
-  let h = hist_create ~buckets ~lo ~hi () in
-  Array.iter (hist_observe h) samples;
-  { in_range = h.h_counts; underflow = h.h_underflow; overflow = h.h_overflow }

@@ -1,65 +1,18 @@
-(** Descriptive statistics for the benchmark harness and the metrics
-    registry. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-(** [percentile sorted p] with [p] in [0, 1]; [sorted] must be sorted
-    ascending and non-empty. *)
-val percentile : float array -> float -> float
-
-(** Full summary of a non-empty sample array. *)
-val summarize : float array -> summary
-
-val mean : float array -> float
+(** Jain's fairness index for the benchmark harness, and the log-bucketed
+    histogram behind every metrics-registry histogram. *)
 
 (** Jain's fairness index in (0, 1]; 1.0 means all values equal. *)
 val jain_fairness : float array -> float
 
-(** {1 Histograms} *)
-
-(** A streaming fixed-width histogram over [lo, hi) with explicit
-    underflow/overflow buckets: no finite observation is ever silently
-    dropped.  NaN observations are ignored. *)
-type hist = {
-  h_lo : float;
-  h_hi : float;
-  h_counts : int array;
-  mutable h_underflow : int;  (** observations below [lo] *)
-  mutable h_overflow : int;  (** observations at or above [hi] *)
-  mutable h_count : int;  (** all finite observations *)
-  mutable h_sum : float;
-  mutable h_min : float;  (** [infinity] when empty *)
-  mutable h_max : float;  (** [neg_infinity] when empty *)
-}
-
-(** Raises [Invalid_argument] unless [buckets > 0] and [hi > lo]. *)
-val hist_create : buckets:int -> lo:float -> hi:float -> unit -> hist
-
-val hist_observe : hist -> float -> unit
-
-(** 0.0 when empty. *)
-val hist_mean : hist -> float
-
-(** Fold [src] into [dst].  Raises [Invalid_argument] unless both have the
-    same bucket count and [lo, hi) range. *)
-val hist_merge_into : dst:hist -> src:hist -> unit
-
 (** {1 Log-bucketed histograms}
 
     A streaming geometric histogram: [per_decade] buckets per factor of
-    10, spanning [decades] decades upward from [lo].  Every bucket has the
-    same relative width, so tail quantiles (p999) stay resolvable over a
-    multi-decade latency range where a fixed-width {!hist} collapses the
-    tail into one bucket. *)
+    10, spanning [decades] decades upward from [lo], with explicit
+    underflow/overflow buckets: no finite observation is ever silently
+    dropped.  NaN observations are ignored.  Every bucket has the same
+    relative width, so tail quantiles (p999) stay resolvable over a
+    multi-decade latency range where fixed-width buckets would collapse
+    the tail into one. *)
 type log_hist = {
   lh_lo : float;  (** lower edge of bucket 0; > 0 *)
   lh_per_decade : int;
@@ -96,20 +49,6 @@ val log_hist_edge : log_hist -> int -> float
 val log_hist_quantile : log_hist -> float -> float
 
 (** Fold [src] into [dst].  Raises [Invalid_argument] unless both share
-    [lo], [per_decade] and bucket count.  Same single-writer/merge
-    conventions as {!hist_merge_into}. *)
+    [lo], [per_decade] and bucket count.  Sums run dst-then-src, so
+    folding a fixed sequence of histograms is deterministic. *)
 val log_hist_merge_into : dst:log_hist -> src:log_hist -> unit
-
-(** Result of a one-shot {!histogram}: per-bucket counts over [lo, hi)
-    plus the out-of-range counts that were previously dropped silently. *)
-type histogram_counts = {
-  in_range : int array;
-  underflow : int;
-  overflow : int;
-}
-
-(** Fixed-width histogram of a sample array: values in [lo, hi) land in
-    [in_range], values below [lo] in [underflow], values at or above [hi]
-    in [overflow].  NaNs are ignored. *)
-val histogram :
-  buckets:int -> lo:float -> hi:float -> float array -> histogram_counts

@@ -1037,8 +1037,10 @@ let test_metrics_merge_deterministic () =
     let r = Obs.Metrics.create () in
     Obs.Metrics.incr ~by:(10 + salt) (Obs.Metrics.counter r "net.frames_tx");
     Obs.Metrics.set (Obs.Metrics.gauge r "ready.len") salt;
-    let h = Obs.Metrics.histogram r ~buckets:4 ~lo:0.0 ~hi:100.0 "lat" in
-    Obs.Metrics.observe h (float_of_int (salt * 30));
+    let h = Obs.Metrics.log_histogram r "lat" in
+    for i = 1 to salt do
+      Obs.Metrics.observe_log h (float_of_int (i * 30))
+    done;
     r
   in
   let merge regs =
@@ -1055,6 +1057,11 @@ let test_metrics_merge_deterministic () =
     (let dst = Obs.Metrics.create () in
      List.iter (fun src -> Obs.Metrics.merge_into ~dst ~src) [ a (); b () ];
      Obs.Metrics.counter_value (Obs.Metrics.counter dst "net.frames_tx") = 23);
+  Alcotest.(check int) "histogram counts summed" 3
+    (let dst = Obs.Metrics.create () in
+     List.iter (fun src -> Obs.Metrics.merge_into ~dst ~src) [ a (); b () ];
+     (Obs.Metrics.log_histogram dst "lat").Obs.Metrics.l_hist
+       .I432_util.Stats.lh_count);
   Alcotest.(check bool) "dump is non-empty json" true
     (String.length merged > 2)
 

@@ -203,12 +203,17 @@ let test_metrics_registry () =
   let g = Obs.Metrics.gauge r "gc.phase" in
   Obs.Metrics.set g 2;
   Alcotest.(check int) "gauge" 2 (Obs.Metrics.gauge_value g);
-  let h = Obs.Metrics.histogram r ~buckets:4 ~lo:0.0 ~hi:8.0 "port.wait" in
-  List.iter (Obs.Metrics.observe h) [ 1.0; 3.0; 9.0; -1.0 ];
+  (* The one registry shape spans 10 .. 10^10: below lands in underflow,
+     beyond in overflow, and neither is dropped from the count. *)
+  let h = Obs.Metrics.log_histogram r "port.wait" in
+  List.iter (Obs.Metrics.observe_log h) [ 100.0; 3_000.0; 1e11; 1.0 ];
+  let s = h.Obs.Metrics.l_hist in
   Alcotest.(check int) "histogram overflow bucket" 1
-    h.Obs.Metrics.m_hist.I432_util.Stats.h_overflow;
+    s.I432_util.Stats.lh_overflow;
   Alcotest.(check int) "histogram underflow bucket" 1
-    h.Obs.Metrics.m_hist.I432_util.Stats.h_underflow;
+    s.I432_util.Stats.lh_underflow;
+  Alcotest.(check int) "histogram counts every observation" 4
+    s.I432_util.Stats.lh_count;
   Alcotest.(check bool) "lookup misses are None" true
     (Obs.Metrics.find_counter r "no.such" = None);
   (* Dumps are sorted by name, so JSON is deterministic. *)
@@ -227,6 +232,88 @@ let test_machine_metrics_populated () =
     (counter "dispatch.dispatches" > 0);
   Alcotest.(check int) "sends counted" 8 (counter "port.sends");
   Alcotest.(check int) "receives counted" 8 (counter "port.receives")
+
+(* The spooler shape behind [imax_ctl metrics]: three clients queue five
+   jobs each on a spool port, a spooler forwards them to a two-slot
+   printer port, and a low-priority batch job forces preemption.  Each
+   kernel histogram must count exactly what its counter counts — a
+   receive that meets a parked receiver is a wait of 0, not a gap. *)
+let test_kernel_histograms_agree_with_counters () =
+  let module Sys = Imax.System in
+  let module Pm = Imax.Process_manager in
+  let module Up = Imax.Untyped_ports in
+  let config =
+    {
+      Sys.default_config with
+      Sys.processors = 2;
+      trace_level = Obs.Tracer.Events;
+    }
+  in
+  let sys = Sys.boot ~config () in
+  let m = Sys.machine sys and pm = Sys.process_manager sys in
+  let spool = Up.create_port m ~message_count:8 () in
+  let printer = Up.create_port m ~message_count:2 () in
+  let clients = 3 and jobs = 5 in
+  let total = clients * jobs in
+  ignore
+    (Pm.create_process pm ~name:"spooler" (fun () ->
+         for _ = 1 to total do
+           let job = Up.receive m ~prt:spool in
+           K.Machine.compute m 2;
+           Up.send m ~prt:printer ~msg:job
+         done));
+  ignore
+    (Pm.create_process pm ~name:"printer" (fun () ->
+         for _ = 1 to total do
+           let job = Up.receive m ~prt:printer in
+           K.Machine.compute m 10;
+           ignore (K.Machine.read_word m job ~offset:0)
+         done));
+  for c = 1 to clients do
+    ignore
+      (Pm.create_process pm ~name:(Printf.sprintf "client%d" c) (fun () ->
+           for j = 1 to jobs do
+             let job = K.Machine.allocate_generic m ~data_length:16 () in
+             K.Machine.write_word m job ~offset:0 ((c * 100) + j);
+             Up.send m ~prt:spool ~msg:job;
+             K.Machine.delay m ~ns:50_000
+           done))
+  done;
+  ignore
+    (Pm.create_process pm ~name:"batch" ~priority:4 (fun () ->
+         for _ = 1 to 2 do
+           K.Machine.compute m 12_000
+         done));
+  ignore (Sys.run sys);
+  let r = K.Machine.metrics m in
+  let counter name =
+    match Obs.Metrics.find_counter r name with
+    | Some c -> Obs.Metrics.counter_value c
+    | None -> Alcotest.failf "missing counter %s" name
+  in
+  let hist name =
+    match Obs.Metrics.find_log_histogram r name with
+    | Some h -> h
+    | None -> Alcotest.failf "missing histogram %s" name
+  in
+  Alcotest.(check int) "every receive observed" (2 * total)
+    (counter "port.receives");
+  List.iter
+    (fun (h, c) ->
+      let h = hist h in
+      Alcotest.(check int)
+        (Printf.sprintf "%s count = %s" h.Obs.Metrics.l_name c)
+        (counter c) h.Obs.Metrics.l_hist.I432_util.Stats.lh_count;
+      let q = Obs.Metrics.log_quantile h in
+      Alcotest.(check bool)
+        (h.Obs.Metrics.l_name ^ " p50 <= p99 <= p999")
+        true
+        (q 0.5 <= q 0.99 && q 0.99 <= q 0.999))
+    [
+      ("port.wait_ns", "port.receives");
+      ("dispatch.latency_ns", "dispatch.dispatches");
+      ("alloc.size_bytes", "sro.allocates");
+    ]
 
 (* ---------------- Snapshot extensions ---------------- *)
 
@@ -261,5 +348,8 @@ let suite =
     ("export: chrome trace", `Quick, test_chrome_export_structure);
     ("metrics: registry", `Quick, test_metrics_registry);
     ("metrics: machine instruments", `Quick, test_machine_metrics_populated);
+    ( "metrics: kernel histograms agree with counters",
+      `Quick,
+      test_kernel_histograms_agree_with_counters );
     ("snapshot: observability fields", `Quick, test_snapshot_observability_fields);
   ]

@@ -80,29 +80,6 @@ let test_prng_shuffle_permutation () =
 
 (* ---------------- Stats ---------------- *)
 
-let test_stats_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  check_float "mean" 3.0 s.Stats.mean;
-  check_float "min" 1.0 s.Stats.min;
-  check_float "max" 5.0 s.Stats.max;
-  check_float "p50" 3.0 s.Stats.p50;
-  Alcotest.(check int) "count" 5 s.Stats.count
-
-let test_stats_stddev () =
-  let s = Stats.summarize [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  Alcotest.(check bool)
-    "sample stddev ~2.138" true
-    (abs_float (s.Stats.stddev -. 2.13809) < 1e-4)
-
-let test_stats_percentile_interpolates () =
-  let v = Stats.percentile [| 10.0; 20.0 |] 0.5 in
-  check_float "interpolated median" 15.0 v
-
-let test_stats_empty () =
-  Alcotest.check_raises "empty summarize"
-    (Invalid_argument "Stats.summarize: empty") (fun () ->
-      ignore (Stats.summarize [||]))
-
 let test_jain_equal () =
   check_float "equal shares" 1.0 (Stats.jain_fairness [| 5.0; 5.0; 5.0 |])
 
@@ -112,24 +89,6 @@ let test_jain_skewed () =
 
 let test_jain_all_zero () =
   check_float "degenerate zeros" 1.0 (Stats.jain_fairness [| 0.0; 0.0 |])
-
-let test_histogram () =
-  let h = Stats.histogram ~buckets:4 ~lo:0.0 ~hi:4.0 [| 0.5; 1.5; 1.6; 3.9; 4.5 |] in
-  Alcotest.(check (array int)) "bucket counts" [| 1; 2; 0; 1 |] h.Stats.in_range;
-  Alcotest.(check int) "no underflow" 0 h.Stats.underflow;
-  Alcotest.(check int) "4.5 overflows" 1 h.Stats.overflow
-
-let test_histogram_edges () =
-  (* Exactly-lo lands in the first bucket; exactly-hi overflows; NaN is
-     ignored entirely. *)
-  let h =
-    Stats.histogram ~buckets:2 ~lo:0.0 ~hi:2.0
-      [| 0.0; 2.0; -0.001; 1.999; Float.nan |]
-  in
-  Alcotest.(check (array int)) "lo inclusive, hi exclusive" [| 1; 1 |]
-    h.Stats.in_range;
-  Alcotest.(check int) "below lo underflows" 1 h.Stats.underflow;
-  Alcotest.(check int) "hi itself overflows" 1 h.Stats.overflow
 
 (* ---------------- Table ---------------- *)
 
@@ -221,16 +180,6 @@ let prop_ring_matches_queue =
             Ring_buffer.pop rb = expected)
         script)
 
-let prop_stats_percentile_monotone =
-  QCheck2.Test.make ~name:"percentiles are monotone in p" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) (float_bound_inclusive 1000.0))
-    (fun xs ->
-      let arr = Array.of_list xs in
-      Array.sort compare arr;
-      let p25 = Stats.percentile arr 0.25 in
-      let p75 = Stats.percentile arr 0.75 in
-      p25 <= p75)
-
 let prop_jain_bounds =
   QCheck2.Test.make ~name:"Jain index in (0,1]" ~count:200
     QCheck2.Gen.(list_size (int_range 1 20) (float_bound_inclusive 100.0))
@@ -249,15 +198,9 @@ let suite =
     ("prng exponential mean", `Quick, test_prng_exponential_mean);
     ("prng choose", `Quick, test_prng_choose);
     ("prng shuffle permutation", `Quick, test_prng_shuffle_permutation);
-    ("stats summary", `Quick, test_stats_summary);
-    ("stats stddev", `Quick, test_stats_stddev);
-    ("stats percentile interpolates", `Quick, test_stats_percentile_interpolates);
-    ("stats empty", `Quick, test_stats_empty);
     ("jain equal", `Quick, test_jain_equal);
     ("jain skewed", `Quick, test_jain_skewed);
     ("jain all zero", `Quick, test_jain_all_zero);
-    ("histogram", `Quick, test_histogram);
-    ("histogram edges", `Quick, test_histogram_edges);
     ("table renders", `Quick, test_table_renders);
     ("table ragged", `Quick, test_table_ragged);
     ("fmt us", `Quick, test_fmt_us);
@@ -267,6 +210,5 @@ let suite =
     ("ring clear", `Quick, test_ring_clear);
     ("ring wraparound", `Quick, test_ring_wraparound);
     QCheck_alcotest.to_alcotest prop_ring_matches_queue;
-    QCheck_alcotest.to_alcotest prop_stats_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_jain_bounds;
   ]
